@@ -276,8 +276,9 @@ inline WarehouseConfig warehouseFor(const GcOptions &Options,
 inline void banner(const char *Title, const char *PaperRef) {
   std::printf("== %s ==\n", Title);
   std::printf("reproduces: %s\n", PaperRef);
-  std::printf("host note: single-core reproduction host; shapes (who "
-              "wins, ratios), not absolute ms, are the comparison.\n\n");
+  std::printf("host note: shared multi-core VM with variable CPU steal; "
+              "shapes (who wins, ratios), not absolute ms, are the "
+              "comparison.\n\n");
 }
 
 } // namespace cgc::bench

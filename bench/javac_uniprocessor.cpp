@@ -5,8 +5,9 @@
 /// The paper: CGC max/avg pause 41/34 ms vs STW 167/138 ms, with a 12%
 /// throughput reduction. This reproduction runs the toy-compiler
 /// workload — a real expression compiler allocating its token lists,
-/// ASTs and code objects on the GC heap. (This host is single-core, so
-/// this is the one experiment reproduced in its native configuration.)
+/// ASTs and code objects on the GC heap. (On a single-core host this is
+/// the paper's native configuration; on a multi-core host the background
+/// thread gets a CPU of its own.)
 ///
 //===----------------------------------------------------------------------===//
 

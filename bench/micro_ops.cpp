@@ -2,7 +2,8 @@
 ///
 /// Costs of the collector's hot operations: the allocation fast path,
 /// the fence-free card-marking write barrier, allocation-bit flushing,
-/// mark-bit test-and-set, and work-packet get/put. These are the
+/// mark-bit test-and-set, work-packet get/put, and the bitwise sweep
+/// rate (Section 2.2) serial and parallel. These are the
 /// per-operation overheads the paper's design minimizes (Sections 1.1
 /// and 5): the write barrier is two plain stores; the allocation fast
 /// path is a bump pointer; fences are batched out of both.
@@ -10,9 +11,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "gc/Sweeper.h"
+#include "gc/WorkerPool.h"
 #include "runtime/GcHeap.h"
+#include "support/Random.h"
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 using namespace cgc;
 using namespace cgc::bench;
@@ -150,6 +156,50 @@ void BM_CacheFlushPer64Objects(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_CacheFlushPer64Objects);
+
+/// Bitwise sweep rate: a seeded, fragmented 32 MB heap (4 free-list
+/// shards) packed with 16-512 B objects, each live with probability
+/// live_pct, swept serially (workers=0) or on a 2-worker pool. The mark
+/// bits never change, so every iteration rebuilds the same free list.
+/// Reports heap bytes swept per second and shard-lock acquisitions per
+/// sweep (the clear plus one per chunk and shard it publishes to).
+void BM_SweepAll(benchmark::State &State) {
+  const double LiveFrac = static_cast<double>(State.range(0)) / 100.0;
+  const auto NumWorkers = static_cast<unsigned>(State.range(1));
+  HeapSpace Heap(32u << 20, /*FreeListShards=*/4);
+  Random Rng(0x5ee9);
+  for (size_t Offset = 0;;) {
+    size_t Bytes = GranuleBytes * Rng.nextInRange(2, 64);
+    if (Offset + Bytes > Heap.sizeBytes())
+      break;
+    Object *Obj = reinterpret_cast<Object *>(Heap.base() + Offset);
+    Obj->initialize(static_cast<uint32_t>(Bytes), 0, 0);
+    Heap.allocBits().set(Obj);
+    if (Rng.nextBool(LiveFrac))
+      Heap.markBits().set(Obj);
+    Offset += Bytes;
+  }
+  Sweeper Sweep(Heap);
+  std::unique_ptr<WorkerPool> Pool;
+  if (NumWorkers)
+    Pool = std::make_unique<WorkerPool>(NumWorkers);
+  const uint64_t LocksBefore = Heap.freeList().lockAcquisitions();
+  for (auto _ : State)
+    benchmark::DoNotOptimize(Sweep.sweepAll(Pool.get()));
+  const auto Sweeps = static_cast<double>(State.iterations());
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Heap.sizeBytes()));
+  State.counters["shard_locks_per_sweep"] =
+      static_cast<double>(Heap.freeList().lockAcquisitions() - LocksBefore) /
+      Sweeps;
+  State.counters["free_ranges"] =
+      static_cast<double>(Heap.freeList().numRanges());
+}
+BENCHMARK(BM_SweepAll)
+    ->ArgsProduct({{10, 50, 90}, {0, 2}})
+    ->ArgNames({"live_pct", "workers"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// Manual allocation-cost measurement for the machine-readable output:
 /// a fixed count of small allocations per flag setting, reporting

@@ -416,8 +416,9 @@ Compactor::Stats Compactor::evacuate(ThreadRegistry &Registry,
   //    that stayed (pinned or failed) is free now. A mini bitwise sweep
   //    over the area derives the maximal runs; a live object straddling
   //    in from before the area keeps its extent. Serial: it is one
-  //    area's worth of bitmap, and the free-list inserts would all
-  //    contend on the same shard anyway.
+  //    area's worth of bitmap, and its runs are published in one batch
+  //    (one lock acquisition per shard the area covers).
+  std::vector<FreeRange> Rebuilt;
   uint8_t *Pos = Lo;
   if (uint8_t *PrevMarked = Heap.markBits().findPrevSet(Lo)) {
     uint8_t *PrevEnd = reinterpret_cast<Object *>(PrevMarked)->end();
@@ -429,9 +430,7 @@ Compactor::Stats Compactor::evacuate(ThreadRegistry &Registry,
     uint8_t *RunEnd = NextLive ? NextLive : Hi;
     if (RunEnd > Pos) {
       Heap.allocBits().clearRange(Pos, RunEnd);
-      // Same routing as sweep: small rebuilt runs go to the owning
-      // shard's remote-free queue when the fast path is on.
-      Heap.releaseRange(Pos, static_cast<size_t>(RunEnd - Pos));
+      Rebuilt.emplace_back(Pos, static_cast<size_t>(RunEnd - Pos));
     }
     if (!NextLive)
       break;
@@ -456,10 +455,13 @@ Compactor::Stats Compactor::evacuate(ThreadRegistry &Registry,
         PieceEnd = std::min(PieceEnd, ChunkEnd);
       }
       if (!Sweep || !Sweep->sweepPendingAt(P))
-        Heap.releaseRange(P, static_cast<size_t>(PieceEnd - P));
+        Rebuilt.emplace_back(P, static_cast<size_t>(PieceEnd - P));
       P = PieceEnd;
     }
   }
+  // Same routing as sweep: small rebuilt runs go to the owning shard's
+  // remote-free queue when the fast path is on.
+  Heap.releaseRanges(Rebuilt);
 
   // Cooldown bookkeeping: conservative stack pins rarely clear within
   // one cycle, so a pinned-heavy area is skipped on the next arm.

@@ -16,7 +16,20 @@ static constexpr size_t MinFreeRangeBytes = 64;
 
 Sweeper::Sweeper(HeapSpace &Heap, GcObserver *Obs)
     : Heap(Heap),
-      NumChunks((Heap.sizeBytes() + ChunkBytes - 1) / ChunkBytes), Obs(Obs) {}
+      NumChunks((Heap.sizeBytes() + ChunkBytes - 1) / ChunkBytes), Obs(Obs) {
+  // Deal each shard's chunks (in address order) one per round, so
+  // consecutive claims land on different shards.
+  const ShardedFreeList &FL = Heap.freeList();
+  std::vector<std::vector<uint32_t>> PerShard(FL.numShards());
+  for (size_t I = 0; I < NumChunks; ++I)
+    PerShard[FL.shardIndexFor(Heap.base() + I * ChunkBytes)].push_back(
+        static_cast<uint32_t>(I));
+  ClaimOrder.reserve(NumChunks);
+  for (size_t Round = 0; Round < NumChunks; ++Round)
+    for (const auto &Chunks : PerShard)
+      if (Round < Chunks.size())
+        ClaimOrder.push_back(Chunks[Round]);
+}
 
 uint8_t *Sweeper::chunkSweepStart(size_t Index) const {
   uint8_t *ChunkStart = Heap.base() + Index * ChunkBytes;
@@ -30,8 +43,10 @@ uint8_t *Sweeper::chunkSweepStart(size_t Index) const {
   return PrevEnd > ChunkStart ? PrevEnd : ChunkStart;
 }
 
-Sweeper::ChunkResult Sweeper::sweepChunk(size_t Index) {
+Sweeper::ChunkResult Sweeper::sweepChunk(size_t Index,
+                                         std::vector<FreeRange> &Batch) {
   ChunkResult Result;
+  Batch.clear();
   uint8_t *ChunkEnd = Heap.base() + (Index + 1) * ChunkBytes;
   if (ChunkEnd > Heap.limit())
     ChunkEnd = Heap.limit();
@@ -43,10 +58,7 @@ Sweeper::ChunkResult Sweeper::sweepChunk(size_t Index) {
     Heap.allocBits().clearRange(From, To);
     size_t Size = static_cast<size_t>(To - From);
     if (Size >= MinFreeRangeBytes) {
-      // Routed to the shard owning the addresses: small runs go to its
-      // lock-free remote-free queue when the fast path is on, larger
-      // (or straddling) runs split across the shards' locked lists.
-      Heap.releaseRange(From, Size);
+      Batch.emplace_back(From, Size);
       Result.FreedBytes += Size;
     }
   };
@@ -77,6 +89,11 @@ Sweeper::ChunkResult Sweeper::sweepChunk(size_t Index) {
     Pos = Live->end(); // May extend past ChunkEnd; the next chunk's
                        // leading-edge resolution accounts for it.
   }
+  // One publication per chunk, routed to the shards owning the
+  // addresses: small runs go to their lock-free remote-free queues when
+  // the fast path is on, the rest to each shard's list under one lock.
+  if (!Batch.empty())
+    Heap.releaseRanges(Batch);
   return Result;
 }
 
@@ -88,11 +105,12 @@ uint64_t Sweeper::sweepAll(WorkerPool *Workers) {
 
   auto SweepJob = [this](unsigned) {
     uint64_t Live = 0;
+    std::vector<FreeRange> Batch;
     for (;;) {
-      size_t Index = Cursor.fetch_add(1, std::memory_order_relaxed);
-      if (Index >= NumChunks)
+      size_t Claim = Cursor.fetch_add(1, std::memory_order_relaxed);
+      if (Claim >= NumChunks)
         break;
-      Live += sweepChunk(Index).LiveBytes;
+      Live += sweepChunk(ClaimOrder[Claim], Batch).LiveBytes;
     }
     LiveBytesFound.fetch_add(Live, std::memory_order_relaxed);
   };
@@ -117,13 +135,14 @@ uint64_t Sweeper::sweepUntilFree(size_t FreeBytesWanted) {
   ActiveSweepers.fetch_add(1, std::memory_order_acquire);
   uint64_t Freed = 0;
   uint64_t Live = 0;
+  std::vector<FreeRange> Batch;
   for (;;) {
     size_t Index = Cursor.fetch_add(1, std::memory_order_relaxed);
     if (Index >= NumChunks) {
       LazyActive.store(false, std::memory_order_release);
       break;
     }
-    ChunkResult R = sweepChunk(Index);
+    ChunkResult R = sweepChunk(Index, Batch);
     Freed += R.FreedBytes;
     Live += R.LiveBytes;
     if (Freed >= FreeBytesWanted)

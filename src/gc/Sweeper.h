@@ -6,13 +6,19 @@
 /// ranges of unmarked memory in the mark bit vector. The heap is divided
 /// into fixed chunks claimed by workers through an atomic cursor; a
 /// sweeping thread resolves objects spanning its chunk's leading edge by
-/// scanning the mark bits backwards. Reclaimed ranges are inserted into
-/// the free-list shard owning their addresses (split at shard
-/// boundaries), so N sweep workers contend only when their chunks map
-/// to the same shard; within a shard, free ranges still coalesce across
-/// chunk boundaries in the address-ordered large map. Allocation bits
-/// of reclaimed ranges are cleared so conservative scanning cannot
-/// resurrect dead memory.
+/// scanning the mark bits backwards. Allocation bits of reclaimed ranges
+/// are cleared so conservative scanning cannot resurrect dead memory.
+///
+/// Publication is batched per chunk. A chunk's reclaimed ranges collect
+/// in the sweeping thread's buffer (address ordered, at most one chunk's
+/// worth) and go to the free-space manager in one
+/// HeapSpace::releaseRanges call at the end of the chunk: one shard-lock
+/// acquisition per shard the chunk covers, not one per range. Adjacent
+/// chunks usually map to the same shard, so the parallel sweep claims
+/// chunks round-robin across shards (an order fixed at construction):
+/// concurrent sweepers then publish to different shards instead of
+/// queueing on one lock. Within a shard, free ranges still coalesce
+/// across chunk boundaries in the address-ordered large map.
 ///
 /// Lazy sweep (the paper's future work, Section 7): the sweep is taken
 /// out of the pause and performed incrementally at allocation time, with
@@ -29,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <vector>
 
 namespace cgc {
 
@@ -101,13 +108,14 @@ public:
   }
 
 private:
-  /// Sweeps chunk \p Index; adds free ranges to the free list; returns
+  /// Sweeps chunk \p Index and publishes its free ranges in one batch,
+  /// collected in \p Batch (the caller's reused buffer); returns
   /// {freed bytes, live bytes}.
   struct ChunkResult {
     uint64_t FreedBytes = 0;
     uint64_t LiveBytes = 0;
   };
-  ChunkResult sweepChunk(size_t Index);
+  ChunkResult sweepChunk(size_t Index, std::vector<FreeRange> &Batch);
 
   /// First position in chunk \p Index not covered by a live object
   /// spanning in from an earlier chunk.
@@ -115,6 +123,10 @@ private:
 
   HeapSpace &Heap;
   size_t NumChunks;
+  /// sweepAll's claim order: chunk indices round-robin across the
+  /// free-list shards owning their first bytes. (The lazy sweep claims
+  /// in address order, which sweepPendingAt relies on.)
+  std::vector<uint32_t> ClaimOrder;
   GcObserver *Obs;
   std::atomic<size_t> Cursor{0};
   std::atomic<bool> LazyActive{false};

@@ -9,7 +9,7 @@
 using namespace cgc;
 
 size_t AllocationCache::flushClassLists(ShardedFreeList &FL) {
-  std::vector<std::pair<uint8_t *, size_t>> Chunks;
+  std::vector<FreeRange> Chunks;
   for (unsigned Class = 0; Class < NumSizeClasses; ++Class) {
     for (uint8_t *Start : ClassChunks[Class])
       Chunks.emplace_back(Start, sizeClassBytes(Class));
@@ -21,21 +21,19 @@ size_t AllocationCache::flushClassLists(ShardedFreeList &FL) {
     return 0;
   // Coalesce before insertion: chunks carved from one refill are
   // address-adjacent, and merged runs clear the free list's minimum
-  // tracked size where individual sub-64 B chunks would be dropped.
+  // tracked size where individual sub-64 B chunks would be dropped. The
+  // runs then go back as one batch (one lock per shard touched).
   std::sort(Chunks.begin(), Chunks.end());
-  uint8_t *RunStart = Chunks.front().first;
-  size_t RunSize = Chunks.front().second;
+  size_t NumRuns = 1;
   for (size_t I = 1; I < Chunks.size(); ++I) {
-    auto [Start, Size] = Chunks[I];
-    if (RunStart + RunSize == Start) {
-      RunSize += Size;
-      continue;
-    }
-    FL.addRange(RunStart, RunSize);
-    RunStart = Start;
-    RunSize = Size;
+    auto &[RunStart, RunSize] = Chunks[NumRuns - 1];
+    if (RunStart + RunSize == Chunks[I].first)
+      RunSize += Chunks[I].second;
+    else
+      Chunks[NumRuns++] = Chunks[I];
   }
-  FL.addRange(RunStart, RunSize);
+  Chunks.resize(NumRuns);
+  FL.addRanges(Chunks);
   return Flushed;
 }
 

@@ -8,12 +8,9 @@
 using namespace cgc;
 
 void FreeList::insertLargeLocked(uint8_t *Start, size_t Size) {
-  auto [It, Inserted] = Large.emplace(Start, Size);
+  [[maybe_unused]] bool Inserted = Large.emplace(Start, Size).second;
   assert(Inserted && "duplicate large range");
-  static_cast<void>(Inserted);
   LargeBySize.emplace(Size, Start);
-  static_cast<void>(It);
-  noteRangeTracked(Size);
 }
 
 void FreeList::eraseLargeLocked(std::map<uint8_t *, size_t>::iterator It) {
@@ -23,47 +20,78 @@ void FreeList::eraseLargeLocked(std::map<uint8_t *, size_t>::iterator It) {
       LargeBySize.erase(SizeIt);
       break;
     }
-  noteRangeUntracked(It->second);
   Large.erase(It);
 }
 
-void FreeList::addRange(uint8_t *Start, size_t Size) {
-  // Below the bin granularity the range is not worth tracking (no
-  // object fits anyway); the next sweep reclaims it from the bitmap.
-  if (Size < BinGranuleBytes)
+void FreeList::addRanges(std::span<const FreeRange> Ranges, uint8_t *ClipLo,
+                         uint8_t *ClipHi) {
+  auto clip = [ClipLo, ClipHi](FreeRange R) -> FreeRange {
+    uint8_t *Start = R.first, *End = R.first + R.second;
+    if (ClipLo && Start < ClipLo)
+      Start = ClipLo;
+    if (ClipHi && End > ClipHi)
+      End = ClipHi;
+    return {Start, End > Start ? static_cast<size_t>(End - Start) : 0};
+  };
+  // Below the bin granularity a range is not worth tracking (no object
+  // fits anyway); the next sweep reclaims it from the bitmap.
+  size_t Added = 0;
+  for (FreeRange R : Ranges)
+    if (size_t Size = clip(R).second; Size >= BinGranuleBytes)
+      Added += Size;
+  if (Added == 0)
     return;
+
   SpinLockGuard Guard(Lock);
   LockAcquisitions.fetch_add(1, std::memory_order_relaxed);
-  FreeByteCount.fetch_add(Size, std::memory_order_relaxed);
-
-  if (Size < BinThresholdBytes) {
-    Bins[binIndex(Size)].emplace_back(Start, static_cast<uint32_t>(Size));
-    ++SmallRangeCount;
-    noteRangeTracked(Size);
-    return;
-  }
-
-  // Coalesce with adjacent LARGE ranges (small neighbours stay separate;
-  // the next sweep re-derives maximal runs from the bitmap anyway).
-  auto Next = Large.lower_bound(Start);
-  if (Next != Large.begin()) {
-    auto Prev = std::prev(Next);
-    assert(Prev->first + Prev->second <= Start && "overlapping free ranges");
-    if (Prev->first + Prev->second == Start) {
-      Start = Prev->first;
-      Size += Prev->second;
-      eraseLargeLocked(Prev);
-      Next = Large.lower_bound(Start);
+  // Refillable bytes entering and leaving the tracked set (coalescing
+  // retires merged large neighbours), published once for the batch.
+  size_t Tracked = 0, Untracked = 0;
+  [[maybe_unused]] uint8_t *PrevEnd = nullptr;
+  for (FreeRange R : Ranges) {
+    auto [Start, Size] = clip(R);
+    if (Size < BinGranuleBytes)
+      continue;
+    assert(Start >= PrevEnd && "batch not address ordered");
+    PrevEnd = Start + Size;
+    if (Size < BinThresholdBytes) {
+      Bins[binIndex(Size)].emplace_back(Start, static_cast<uint32_t>(Size));
+      ++SmallRangeCount;
+      Tracked += refillablePart(Size);
+      continue;
     }
-  }
-  if (Next != Large.end()) {
-    assert(Start + Size <= Next->first && "overlapping free ranges");
-    if (Start + Size == Next->first) {
-      Size += Next->second;
-      eraseLargeLocked(Next);
+
+    // Coalesce with adjacent LARGE ranges (small neighbours stay
+    // separate; the next sweep re-derives maximal runs from the bitmap
+    // anyway).
+    auto Next = Large.lower_bound(Start);
+    if (Next != Large.begin()) {
+      auto Prev = std::prev(Next);
+      assert(Prev->first + Prev->second <= Start && "overlapping free ranges");
+      if (Prev->first + Prev->second == Start) {
+        Start = Prev->first;
+        Size += Prev->second;
+        Untracked += refillablePart(Prev->second);
+        eraseLargeLocked(Prev);
+      }
     }
+    if (Next != Large.end()) {
+      assert(Start + Size <= Next->first && "overlapping free ranges");
+      if (Start + Size == Next->first) {
+        Size += Next->second;
+        Untracked += refillablePart(Next->second);
+        eraseLargeLocked(Next);
+      }
+    }
+    insertLargeLocked(Start, Size);
+    Tracked += refillablePart(Size);
   }
-  insertLargeLocked(Start, Size);
+  FreeByteCount.fetch_add(Added, std::memory_order_relaxed);
+  // Tracked >= Untracked: every merged neighbour is re-tracked inside
+  // the (at least as large) coalesced range.
+  if (Tracked != Untracked)
+    RefillableByteCount.fetch_add(Tracked - Untracked,
+                                  std::memory_order_relaxed);
 }
 
 uint8_t *FreeList::takeLocked(uint8_t *Start, size_t RangeSize,
@@ -87,6 +115,7 @@ uint8_t *FreeList::takeLocked(uint8_t *Start, size_t RangeSize,
     noteRangeTracked(Remainder);
   } else {
     insertLargeLocked(Rest, Remainder);
+    noteRangeTracked(Remainder);
   }
   return Start;
 }
@@ -102,6 +131,7 @@ uint8_t *FreeList::allocate(size_t Size) {
     uint8_t *Start = It->first;
     size_t RangeSize = It->second;
     eraseLargeLocked(It);
+    noteRangeUntracked(RangeSize);
     return takeLocked(Start, RangeSize, Size);
   }
   // Then the bins: the first class guaranteed to satisfy Size.
@@ -145,6 +175,7 @@ uint8_t *FreeList::allocateUpTo(size_t MinSize, size_t MaxSize,
     uint8_t *Start = It->first;
     size_t RangeSize = It->second;
     eraseLargeLocked(It);
+    noteRangeUntracked(RangeSize);
     OutSize = MaxSize;
     return takeLocked(Start, RangeSize, MaxSize);
   }
@@ -156,6 +187,7 @@ uint8_t *FreeList::allocateUpTo(size_t MinSize, size_t MaxSize,
       uint8_t *Start = It->first;
       size_t RangeSize = It->second;
       eraseLargeLocked(It);
+      noteRangeUntracked(RangeSize);
       OutSize = RangeSize;
       return takeLocked(Start, RangeSize, RangeSize);
     }
@@ -189,7 +221,7 @@ size_t FreeList::withdrawWithin(uint8_t *Lo, uint8_t *Hi) {
   size_t Withdrawn = 0;
   {
     SpinLockGuard Guard(Lock);
-  LockAcquisitions.fetch_add(1, std::memory_order_relaxed);
+    LockAcquisitions.fetch_add(1, std::memory_order_relaxed);
     // Large ranges: the first candidate may straddle Lo from below.
     auto It = Large.lower_bound(Lo);
     if (It != Large.begin() && std::prev(It)->first + std::prev(It)->second > Lo)
@@ -199,6 +231,7 @@ size_t FreeList::withdrawWithin(uint8_t *Lo, uint8_t *Hi) {
       size_t Size = It->second;
       auto Next = std::next(It);
       eraseLargeLocked(It);
+      noteRangeUntracked(Size);
       FreeByteCount.fetch_sub(Size, std::memory_order_relaxed);
       uint8_t *End = Start + Size;
       uint8_t *CutLo = std::max(Start, Lo);
@@ -228,8 +261,7 @@ size_t FreeList::withdrawWithin(uint8_t *Lo, uint8_t *Hi) {
       }
     }
   }
-  for (auto [Start, Size] : Outside)
-    addRange(Start, Size);
+  addRanges(Outside);
   return Withdrawn;
 }
 

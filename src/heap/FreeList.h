@@ -18,6 +18,9 @@
 /// This keeps the parallel sweep's insertion cost near O(1) per range
 /// and the refill path away from linear first-fit scans — standing in
 /// for the compaction-avoidance machinery of the paper's base collector.
+/// Insertion is batched: addRanges publishes an address-ordered batch
+/// (a swept chunk's ranges) under one lock acquisition; addRange is its
+/// one-range case.
 ///
 /// A shard's operations are guarded by its own lock, touched only on
 /// slow paths (refill, large allocation, sweep insertion). With one
@@ -37,10 +40,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
 namespace cgc {
+
+/// A free range: (start, size in bytes).
+using FreeRange = std::pair<uint8_t *, size_t>;
 
 /// Aggregate shape of the free space inside an address window; the
 /// compactor's area-selection policy scores candidate areas from these
@@ -81,9 +88,22 @@ public:
   explicit FreeList(size_t RefillThresholdBytes = 0)
       : RefillThreshold(RefillThresholdBytes) {}
 
-  /// Inserts [Start, Start + Size). Large ranges merge with adjacent
-  /// large ranges; small ranges are binned unmerged.
-  void addRange(uint8_t *Start, size_t Size);
+  /// Inserts a batch of address-ordered, non-overlapping ranges under
+  /// one lock acquisition, with one update of each byte counter — the
+  /// sweep publishes a whole chunk's reclaimed ranges this way. Each
+  /// range is first clipped to [ClipLo, ClipHi) (the owning shard's
+  /// span; (nullptr, nullptr) clips nothing). Pieces below
+  /// BinGranuleBytes are dropped, and a batch of nothing else takes no
+  /// lock. Large ranges merge with adjacent large ranges; small ranges
+  /// are binned unmerged.
+  void addRanges(std::span<const FreeRange> Ranges, uint8_t *ClipLo = nullptr,
+                 uint8_t *ClipHi = nullptr);
+
+  /// Inserts [Start, Start + Size): the one-range case of addRanges.
+  void addRange(uint8_t *Start, size_t Size) {
+    FreeRange Range{Start, Size};
+    addRanges({&Range, 1});
+  }
 
   /// Allocates exactly \p Size bytes (best fit; the remainder of the
   /// chosen range stays free). Returns nullptr when no range fits.
@@ -146,21 +166,27 @@ public:
 private:
   static size_t binIndex(size_t Size) { return Size / BinGranuleBytes; }
 
+  /// Bytes of a \p Size range that count as refillable.
+  size_t refillablePart(size_t Size) const {
+    return Size >= RefillThreshold ? Size : 0;
+  }
+
   /// Refillable accounting: called for every range entering/leaving the
   /// tracked set (the sub-granule crumbs takeLocked abandons never were
   /// tracked). Counter updates stay inside the shard lock; the relaxed
   /// atomic is only for cross-thread readers of the aggregate.
+  /// addRanges tallies a whole batch locally instead and publishes once.
   void noteRangeTracked(size_t Size) {
-    if (Size >= RefillThreshold)
-      RefillableByteCount.fetch_add(Size, std::memory_order_relaxed);
+    if (size_t Part = refillablePart(Size))
+      RefillableByteCount.fetch_add(Part, std::memory_order_relaxed);
   }
   void noteRangeUntracked(size_t Size) {
-    if (Size >= RefillThreshold)
-      RefillableByteCount.fetch_sub(Size, std::memory_order_relaxed);
+    if (size_t Part = refillablePart(Size))
+      RefillableByteCount.fetch_sub(Part, std::memory_order_relaxed);
   }
 
-  /// Takes [Start, Start+Size) out of the map (both indices); caller
-  /// holds the lock and re-adds any remainder.
+  /// Map-only insert/erase of a large range (both indices); the caller
+  /// holds the lock, does the byte accounting and re-adds any remainder.
   void eraseLargeLocked(std::map<uint8_t *, size_t>::iterator It)
       CGC_REQUIRES(Lock);
   void insertLargeLocked(uint8_t *Start, size_t Size) CGC_REQUIRES(Lock);

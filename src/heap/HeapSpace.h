@@ -20,6 +20,7 @@
 #include "heap/ShardedFreeList.h"
 
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace cgc {
@@ -35,9 +36,9 @@ public:
   /// \p RefillThresholdBytes is forwarded to the free-space manager's
   /// refillable-bytes accounting (0 = refillable == free).
   /// \p RouteRemoteFrees enables the fast path's ownership return:
-  /// releaseRange() parks small reclaimed runs on the owning shard's
+  /// releaseRanges() parks small reclaimed runs on the owning shard's
   /// lock-free remote-free queue instead of the shared bins
-  /// (DESIGN.md §16); off, releaseRange() is plain addRange().
+  /// (DESIGN.md §16); off, releaseRanges() is plain addRanges().
   explicit HeapSpace(size_t SizeBytes, unsigned FreeListShards = 1,
                      FaultInjector *FI = nullptr,
                      size_t RefillThresholdBytes = 0,
@@ -107,7 +108,7 @@ public:
 
   /// --- Remote-free ownership return (DESIGN.md §16) -------------------
 
-  /// Whether releaseRange() routes small runs to the remote queues.
+  /// Whether releaseRanges() routes small runs to the remote queues.
   bool remoteRoutingEnabled() const { return RouteRemoteFreesV; }
 
   /// The queue collecting remote frees for shard \p Shard.
@@ -121,23 +122,30 @@ public:
     return Sum;
   }
 
-  /// Returns reclaimed memory [Start, Start + Size) to the free-space
-  /// manager. With routing enabled, runs small enough for the
-  /// segregated bins that sit wholly inside one shard are pushed onto
-  /// that shard's remote-free queue (lock-free; drained by the shard's
-  /// preferred mutator's next class refill); everything else takes the
-  /// classic locked addRange path. Sweep and compaction call this for
-  /// every reclaimed run.
-  void releaseRange(uint8_t *Start, size_t Size) {
-    if (RouteRemoteFreesV && Size >= RemoteFreeQueue::MinChunkBytes &&
-        Size < FreeList::BinThresholdBytes) {
-      size_t Shard = FreeListV.shardIndexFor(Start);
-      if (FreeListV.shardIndexFor(Start + Size - 1) == Shard) {
-        RemoteQueuesV[Shard]->push(Start, Size);
-        return;
-      }
+  /// Returns a batch of reclaimed, address-ordered, non-overlapping
+  /// ranges to the free-space manager. With routing enabled, runs small
+  /// enough for the segregated bins that sit wholly inside one shard are
+  /// pushed onto that shard's remote-free queue (lock-free; drained by
+  /// the shard's preferred mutator's next class refill); the rest go to
+  /// ShardedFreeList::addRanges, one lock acquisition per shard touched.
+  /// Sweep publishes each swept chunk's ranges this way and compaction
+  /// its rebuilt area. \p Ranges is scratch: routing compacts it in
+  /// place, so its contents are unspecified afterwards.
+  void releaseRanges(std::span<FreeRange> Ranges) {
+    size_t Kept = Ranges.size();
+    if (RouteRemoteFreesV) {
+      Kept = 0;
+      for (FreeRange Range : Ranges)
+        if (!routeToRemoteQueue(Range))
+          Ranges[Kept++] = Range;
     }
-    FreeListV.addRange(Start, Size);
+    FreeListV.addRanges(Ranges.first(Kept));
+  }
+
+  /// Returns [Start, Start + Size): the one-range case of releaseRanges.
+  void releaseRange(uint8_t *Start, size_t Size) {
+    FreeRange Range{Start, Size};
+    releaseRanges({&Range, 1});
   }
 
   /// Drains shard \p Shard's remote queue onto its free list (ladder
@@ -170,6 +178,20 @@ public:
   }
 
 private:
+  /// Parks \p Range on its shard's remote-free queue when it is a
+  /// bin-sized run inside one shard; returns whether it did.
+  bool routeToRemoteQueue(FreeRange Range) {
+    auto [Start, Bytes] = Range;
+    if (Bytes < RemoteFreeQueue::MinChunkBytes ||
+        Bytes >= FreeList::BinThresholdBytes)
+      return false;
+    size_t Shard = FreeListV.shardIndexFor(Start);
+    if (FreeListV.shardIndexFor(Start + Bytes - 1) != Shard)
+      return false;
+    RemoteQueuesV[Shard]->push(Start, Bytes);
+    return true;
+  }
+
   uint8_t *Base;
   size_t Size;
   BitVector8 MarkBitsV;

@@ -39,16 +39,32 @@ ShardedFreeList::ShardedFreeList(uint8_t *Base, size_t SizeBytes,
     Shards.push_back(std::make_unique<FreeList>(RefillThresholdBytes));
 }
 
-void ShardedFreeList::addRange(uint8_t *Start, size_t Bytes) {
-  while (Bytes > 0) {
-    size_t Index = shardIndexFor(Start);
-    uint8_t *End = shardEnd(Index);
-    size_t Piece = static_cast<size_t>(End - Start);
-    if (Piece > Bytes)
-      Piece = Bytes;
-    Shards[Index]->addRange(Start, Piece);
-    Start += Piece;
-    Bytes -= Piece;
+void ShardedFreeList::addRanges(std::span<const FreeRange> Ranges) {
+  // The batch is address ordered, so each shard's share is a contiguous
+  // run of it; only a run's last range can cross into the next shard,
+  // and it then also opens that shard's run. The shard clips every
+  // range to its own span.
+  size_t I = 0;
+  size_t Shard = Ranges.empty() ? 0 : shardIndexFor(Ranges[0].first);
+  while (I < Ranges.size()) {
+    uint8_t *End = shardEnd(Shard);
+    size_t J = I + 1;
+    while (J < Ranges.size() && Ranges[J].first < End) {
+      assert(Ranges[J].first >= shardBegin(Shard) &&
+             "batch not address ordered");
+      ++J;
+    }
+    Shards[Shard]->addRanges(Ranges.subspan(I, J - I), shardBegin(Shard),
+                             End);
+    auto [LastStart, LastSize] = Ranges[J - 1];
+    if (LastStart + LastSize > End && Shard + 1 < Shards.size()) {
+      I = J - 1; // The straddler continues in the next shard.
+      ++Shard;
+      continue;
+    }
+    I = J;
+    if (I < Ranges.size())
+      Shard = shardIndexFor(Ranges[I].first);
   }
 }
 

@@ -13,8 +13,10 @@
 ///    FreeList (own lock, segregated bins, coalescing large-range map).
 ///  - Ranges are split at shard boundaries on insert, so a range is
 ///    always owned by exactly one shard and coalescing never has to
-///    look across a lock boundary. Parallel sweep workers therefore
-///    contend only when their chunks map to the same shard.
+///    look across a lock boundary. Insertion takes address-ordered
+///    batches: each shard a batch touches is locked once for its whole
+///    share, and the parallel sweep claims chunks round-robin across
+///    shards so concurrent sweepers mostly publish to different shards.
 ///  - Allocation is shard-affine: each mutator carries a preferred
 ///    shard (assigned round-robin at attach) and refills from it;
 ///    when the preferred shard cannot satisfy the request the search
@@ -40,6 +42,7 @@
 #include "support/FaultInjector.h"
 
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace cgc {
@@ -83,10 +86,18 @@ public:
   FreeList &shard(size_t I) { return *Shards[I]; }
   const FreeList &shard(size_t I) const { return *Shards[I]; }
 
-  /// Inserts [Start, Start + Size), split at shard boundaries so each
-  /// piece lands in the shard owning its addresses. Only the owning
-  /// shard's lock is taken per piece.
-  void addRange(uint8_t *Start, size_t Size);
+  /// Inserts a batch of address-ordered, non-overlapping ranges, split
+  /// at shard boundaries so each piece lands in the shard owning its
+  /// addresses. Each shard the batch touches takes its lock once for
+  /// its whole share (FreeList::addRanges), so a swept chunk costs one
+  /// acquisition per shard it covers, not one per range.
+  void addRanges(std::span<const FreeRange> Ranges);
+
+  /// Inserts [Start, Start + Size): the one-range case of addRanges.
+  void addRange(uint8_t *Start, size_t Size) {
+    FreeRange Range{Start, Size};
+    addRanges({&Range, 1});
+  }
 
   /// Allocates exactly \p Size bytes, trying \p PreferredShard first
   /// and then stealing from the other shards in ring order.
@@ -142,6 +153,9 @@ public:
   std::vector<std::pair<uint8_t *, size_t>> snapshotRanges() const;
 
 private:
+  /// First byte shard \p Index owns.
+  uint8_t *shardBegin(size_t Index) const { return Base + Index * ShardSpan; }
+
   /// One past the last byte shard \p Index owns.
   uint8_t *shardEnd(size_t Index) const {
     size_t End = (Index + 1) * ShardSpan;

@@ -211,6 +211,75 @@ TEST_F(FreeListTest, WithdrawWithinStraddlingHighBoundary) {
   EXPECT_EQ(Ranges[1].second, 65536u - 16384u);
 }
 
+TEST_F(FreeListTest, BatchInsertMatchesOneByOne) {
+  // N address-ordered ranges through addRanges must leave exactly the
+  // state N addRange calls leave: sub-64 B crumbs dropped, the
+  // small/large split at BinThresholdBytes, and large ranges coalesced
+  // with each other and with large neighbours already present.
+  Random Rng(7);
+  std::vector<FreeRange> Present, Batch;
+  size_t Offset = 0;
+  for (;;) {
+    size_t Size;
+    switch (Rng.nextBelow(3)) {
+    case 0: Size = 8 * Rng.nextInRange(1, 7); break;  // Crumb.
+    case 1: Size = 8 * Rng.nextInRange(8, 511); break; // Small.
+    default: Size = 8 * Rng.nextInRange(512, 2048);    // Large.
+    }
+    if (Offset + Size > HeapBytes)
+      break;
+    // Every fifth large range is already present before the batch.
+    bool Preexisting =
+        Size >= FreeList::BinThresholdBytes && Rng.nextBelow(5) == 0;
+    (Preexisting ? Present : Batch).emplace_back(at(Offset), Size);
+    // Half the ranges abut their successor, so large runs can merge.
+    Offset += Size + (Rng.nextBool(0.5) ? 0 : 8 * Rng.nextInRange(1, 64));
+  }
+  ASSERT_GT(Batch.size(), 100u);
+
+  FreeList Batched(/*RefillThresholdBytes=*/512);
+  FreeList OneByOne(/*RefillThresholdBytes=*/512);
+  for (auto [Start, Size] : Present) {
+    Batched.addRange(Start, Size);
+    OneByOne.addRange(Start, Size);
+  }
+  uint64_t Before = Batched.lockAcquisitions();
+  Batched.addRanges(Batch);
+  EXPECT_EQ(Batched.lockAcquisitions() - Before, 1u);
+  for (auto [Start, Size] : Batch)
+    OneByOne.addRange(Start, Size);
+
+  EXPECT_EQ(Batched.snapshotRanges(), OneByOne.snapshotRanges());
+  EXPECT_EQ(Batched.freeBytes(), OneByOne.freeBytes());
+  EXPECT_EQ(Batched.refillableFreeBytes(), OneByOne.refillableFreeBytes());
+  EXPECT_EQ(Batched.numRanges(), OneByOne.numRanges());
+  EXPECT_LT(Batched.refillableFreeBytes(), Batched.freeBytes());
+  // Coalescing happened: fewer ranges than were inserted (crumbs aside).
+  EXPECT_LT(Batched.numRanges(), Present.size() + Batch.size());
+}
+
+TEST_F(FreeListTest, BatchOfCrumbsTakesNoLock) {
+  std::vector<FreeRange> Crumbs = {{at(0), 8}, {at(64), 56}, {at(256), 32}};
+  List.addRanges(Crumbs);
+  EXPECT_EQ(List.lockAcquisitions(), 0u);
+  EXPECT_EQ(List.freeBytes(), 0u);
+  EXPECT_EQ(List.numRanges(), 0u);
+}
+
+TEST_F(FreeListTest, BatchClipsToTheWindow) {
+  // A shard's share of a batch: the first range straddles in from
+  // below, the last out above, and only the inside parts are kept.
+  std::vector<FreeRange> Ranges = {
+      {at(0), 8192}, {at(12288), 256}, {at(16384), 8192}};
+  List.addRanges(Ranges, at(4096), at(20480));
+  auto Kept = List.snapshotRanges();
+  ASSERT_EQ(Kept.size(), 3u);
+  EXPECT_EQ(Kept[0], FreeRange(at(4096), 4096));
+  EXPECT_EQ(Kept[1], FreeRange(at(12288), 256));
+  EXPECT_EQ(Kept[2], FreeRange(at(16384), 4096));
+  EXPECT_EQ(List.freeBytes(), 4096u + 256u + 4096u);
+}
+
 TEST_F(FreeListTest, ConcurrentAllocatorsDisjointBlocks) {
   List.addRange(at(0), HeapBytes);
   constexpr int NumThreads = 4;

@@ -94,6 +94,34 @@ TEST_F(ShardedFreeListTest, StraddlingRangeLandsInBothOwners) {
   expectNoBoundaryCrossing(List);
 }
 
+TEST_F(ShardedFreeListTest, BatchLocksEachTouchedShardOnce) {
+  // An address-ordered batch spanning shards 1-3, with one range
+  // straddling the 1|2 boundary and one covering all of shard 2 and
+  // running into 3: each touched shard is locked once, and the result
+  // matches inserting the ranges one by one.
+  ShardedFreeList Batched(at(0), RegionBytes, 4);
+  ShardedFreeList OneByOne(at(0), RegionBytes, 4);
+  size_t Span = Batched.shardSpanBytes();
+  std::vector<FreeRange> Ranges = {
+      {at(Span + 4096), 512},
+      {at(Span + 8192), 8192},
+      {at(2 * Span - 4096), 4096 + 128},
+      {at(2 * Span + 4096), Span},
+      {at(3 * Span + 8192), 64},
+      {at(3 * Span + 9000), 40}, // Crumb: dropped.
+  };
+  Batched.addRanges(Ranges);
+  for (auto [Start, Size] : Ranges)
+    OneByOne.addRange(Start, Size);
+  EXPECT_EQ(Batched.shard(0).lockAcquisitions(), 0u);
+  for (unsigned I = 1; I < 4; ++I)
+    EXPECT_EQ(Batched.shard(I).lockAcquisitions(), 1u) << "shard " << I;
+  EXPECT_EQ(Batched.snapshotRanges(), OneByOne.snapshotRanges());
+  EXPECT_EQ(Batched.freeBytes(), OneByOne.freeBytes());
+  EXPECT_EQ(Batched.freeBytes(), 512u + 8192u + 4096u + 128u + Span + 64u);
+  expectNoBoundaryCrossing(Batched);
+}
+
 TEST_F(ShardedFreeListTest, AllocatePrefersTheAffineShard) {
   ShardedFreeList List(at(0), RegionBytes, 4);
   size_t Span = List.shardSpanBytes();

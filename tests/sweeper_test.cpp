@@ -3,6 +3,7 @@
 #include "gc/Sweeper.h"
 
 #include "gc/WorkerPool.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -202,6 +203,113 @@ TEST_P(ShardedSweeperTest, ParallelSweepInsertsIntoOwningShards) {
     EXPECT_EQ(FL.shard(S).numRanges(), 1u)
         << "shard " << S << " did not coalesce its chunk pieces";
   expectShardInvariants();
+}
+
+/// Plants a seeded, fragmented heap: about 1200 live objects of
+/// 16-512 B separated by random gaps (some below the 64 B tracking
+/// minimum, some above the 4 KB large-range threshold), with a dead
+/// object in every wide gap, plus one live object straddling the first
+/// chunk boundary. Returns the number of live objects.
+size_t plantScattered(HeapSpace &Heap, uint64_t Seed) {
+  Random Rng(Seed);
+  auto plantAt = [&Heap](size_t Offset, uint32_t Bytes, bool Marked) {
+    Object *Obj = reinterpret_cast<Object *>(Heap.base() + Offset);
+    Obj->initialize(Bytes, 0, 0);
+    Heap.allocBits().set(Obj);
+    if (Marked)
+      Heap.markBits().set(Obj);
+  };
+  size_t Live = 0;
+  size_t Offset = 0;
+  for (;;) {
+    size_t Gap = GranuleBytes * Rng.nextBelow(840);
+    if (Gap >= 256)
+      plantAt(Offset + 64, 64, /*Marked=*/false);
+    size_t Bytes = GranuleBytes * Rng.nextInRange(2, 64);
+    Offset += Gap;
+    if (Offset + Bytes > Heap.sizeBytes())
+      break;
+    if (Offset < Sweeper::ChunkBytes &&
+        Offset + Bytes + 4096 > Sweeper::ChunkBytes) {
+      Offset = Sweeper::ChunkBytes - 64; // The chunk straddler.
+      Bytes = 4096;
+    }
+    plantAt(Offset, static_cast<uint32_t>(Bytes), /*Marked=*/true);
+    ++Live;
+    Offset += Bytes;
+  }
+  return Live;
+}
+
+/// Chunk/shard pairs: each chunk's sweep publishes to at most the
+/// shards its extent covers, once each.
+size_t chunkShardPairs(const HeapSpace &Heap) {
+  const ShardedFreeList &FL = Heap.freeList();
+  size_t Pairs = 0;
+  for (size_t Off = 0; Off < Heap.sizeBytes(); Off += Sweeper::ChunkBytes) {
+    size_t End = std::min(Off + Sweeper::ChunkBytes, Heap.sizeBytes());
+    Pairs += FL.shardIndexFor(Heap.base() + End - 1) -
+             FL.shardIndexFor(Heap.base() + Off) + 1;
+  }
+  return Pairs;
+}
+
+TEST_P(ShardedSweeperTest, ParallelSweepLocksPerChunkAndMatchesSerial) {
+  // A refill threshold makes refillable bytes differ from free bytes.
+  HeapSpace Fragmented(4u << 20, GetParam(), nullptr,
+                       /*RefillThresholdBytes=*/512);
+  Sweeper FragSweep(Fragmented);
+  ASSERT_GE(plantScattered(Fragmented, 0x5eed5), 1000u);
+  const ShardedFreeList &FL = Fragmented.freeList();
+
+  uint64_t SerialLive = FragSweep.sweepAll(nullptr);
+  auto SerialRanges = FL.snapshotRanges();
+  size_t SerialFree = FL.freeBytes();
+  size_t SerialRefillable = FL.refillableFreeBytes();
+  ASSERT_LT(SerialRefillable, SerialFree);
+
+  WorkerPool Workers(2); // Three participants with the caller.
+  uint64_t Before = FL.lockAcquisitions();
+  EXPECT_EQ(FragSweep.sweepAll(&Workers), SerialLive);
+  uint64_t Locks = FL.lockAcquisitions() - Before;
+  // One per shard for the clear, then one per chunk/shard pair: O(chunks),
+  // far below one per reclaimed range.
+  size_t Bound = FL.numShards() + chunkShardPairs(Fragmented);
+  EXPECT_LE(Locks, Bound);
+  EXPECT_GT(SerialRanges.size(), 10 * Bound);
+
+  EXPECT_EQ(FL.snapshotRanges(), SerialRanges);
+  EXPECT_EQ(FL.freeBytes(), SerialFree);
+  EXPECT_EQ(FL.refillableFreeBytes(), SerialRefillable);
+}
+
+TEST_P(ShardedSweeperTest, RoutedParallelSweepMatchesSerial) {
+  // With remote-free routing, small runs go to the lock-free queues and
+  // the rest to the shards' lists; the split must not depend on which
+  // participant swept which chunk.
+  HeapSpace Fragmented(4u << 20, GetParam(), nullptr,
+                       /*RefillThresholdBytes=*/512,
+                       /*RouteRemoteFrees=*/true);
+  Sweeper FragSweep(Fragmented);
+  ASSERT_GE(plantScattered(Fragmented, 0x5eed6), 1000u);
+  const ShardedFreeList &FL = Fragmented.freeList();
+
+  FragSweep.sweepAll(nullptr);
+  size_t SerialQueued = Fragmented.remoteQueuedBytes();
+  size_t SerialTotal = Fragmented.freeBytes();
+  auto SerialRanges = FL.snapshotRanges();
+  ASSERT_GT(SerialQueued, 0u);
+
+  // The pause drops the queues before re-deriving every run.
+  Fragmented.resetRemoteQueues();
+  WorkerPool Workers(2); // Three participants with the caller.
+  uint64_t Before = FL.lockAcquisitions();
+  FragSweep.sweepAll(&Workers);
+  EXPECT_LE(FL.lockAcquisitions() - Before,
+            FL.numShards() + chunkShardPairs(Fragmented));
+  EXPECT_EQ(Fragmented.remoteQueuedBytes(), SerialQueued);
+  EXPECT_EQ(Fragmented.freeBytes(), SerialTotal);
+  EXPECT_EQ(FL.snapshotRanges(), SerialRanges);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedSweeperTest,
