@@ -2,23 +2,32 @@
 ///
 /// Costs of the collector's hot operations: the allocation fast path,
 /// the fence-free card-marking write barrier, allocation-bit flushing,
-/// mark-bit test-and-set, work-packet get/put, and the bitwise sweep
-/// rate (Section 2.2) serial and parallel. These are the
-/// per-operation overheads the paper's design minimizes (Sections 1.1
-/// and 5): the write barrier is two plain stores; the allocation fast
-/// path is a bump pointer; fences are batched out of both.
+/// mark-bit test-and-set, work-packet get/put, the parallel mark rate
+/// (Section 4) and the bitwise sweep rate (Section 2.2), serial and
+/// parallel. These are the per-operation overheads the paper's design
+/// minimizes (Sections 1.1 and 5): the write barrier is two plain
+/// stores; the allocation fast path is a bump pointer; fences are
+/// batched out of both.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
 #include "gc/Sweeper.h"
+#include "gc/Tracer.h"
 #include "gc/WorkerPool.h"
+#include "mutator/ThreadRegistry.h"
 #include "runtime/GcHeap.h"
 #include "support/Random.h"
+#include "support/Timing.h"
+#include "workloads/Warehouse.h"
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 using namespace cgc;
 using namespace cgc::bench;
@@ -201,6 +210,138 @@ BENCHMARK(BM_SweepAll)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+/// A seeded, warehouse-shaped live graph for the mark rate: about 24 MB
+/// of order trees (order -> line array -> 8 lines, the WarehouseConfig
+/// defaults) in a 32 MB heap, the trees shuffled in address order and
+/// each line's reference pointing at a random line anywhere in the
+/// graph. Every order is a root. markAll() marks all of it afresh.
+class MarkGraph {
+public:
+  MarkGraph() : Heap(32u << 20), Pool(512), Trace(Heap, Pool, Registry) {
+    WarehouseConfig Shape;
+    const size_t OrderBytes =
+        Object::requiredSize(Shape.OrderPayloadBytes, 1);
+    const size_t ArrayBytes = Object::requiredSize(
+        0, static_cast<uint16_t>(Shape.LinesPerOrder));
+    const size_t LineBytes = Object::requiredSize(Shape.LinePayloadBytes, 1);
+    const size_t TreeBytes = Shape.treeBytes();
+    const size_t NumTrees = (24u << 20) / TreeBytes;
+    std::vector<size_t> Slots(NumTrees);
+    for (size_t I = 0; I < NumTrees; ++I)
+      Slots[I] = I;
+    Random Rng(0x3a4c);
+    for (size_t I = NumTrees - 1; I > 0; --I)
+      std::swap(Slots[I], Slots[Rng.nextBelow(I + 1)]);
+    auto place = [&](size_t Offset, size_t Bytes, uint16_t Refs) {
+      Object *Obj = reinterpret_cast<Object *>(Heap.base() + Offset);
+      Obj->initialize(static_cast<uint32_t>(Bytes), Refs, 0);
+      Heap.allocBits().set(Obj);
+      return Obj;
+    };
+    std::vector<Object *> Lines;
+    for (size_t Slot : Slots) {
+      size_t Offset = Slot * TreeBytes;
+      Object *Order = place(Offset, OrderBytes, 1);
+      Object *Array = place(Offset + OrderBytes, ArrayBytes,
+                            static_cast<uint16_t>(Shape.LinesPerOrder));
+      Order->storeRefRaw(0, Array);
+      for (unsigned L = 0; L < Shape.LinesPerOrder; ++L) {
+        Object *Line =
+            place(Offset + OrderBytes + ArrayBytes + L * LineBytes,
+                  LineBytes, 1);
+        Array->storeRefRaw(L, Line);
+        Lines.push_back(Line);
+      }
+      Roots.push_back(Order);
+    }
+    for (Object *Line : Lines)
+      Line->storeRefRaw(0, Lines[Rng.nextBelow(Lines.size())]);
+  }
+
+  /// Clears the mark bits (untimed in BM_ParallelMark).
+  void reset() {
+    Heap.markBits().clearAll();
+    Trace.beginCycle();
+  }
+
+  /// Marks from the roots and drains the packets on \p Workers' caller
+  /// plus workers, as the final pause does. Returns the bytes traced.
+  uint64_t markAll(WorkerPool &Workers) {
+    TraceContext RootCtx(Pool);
+    for (Object *Root : Roots)
+      Trace.markAndQueue(RootCtx, Root);
+    RootCtx.release();
+    Workers.runParallel([this](unsigned) {
+      TraceContext Ctx(Pool);
+      for (;;) {
+        if (Trace.traceWork(Ctx, 256u << 10, /*CheckAllocBits=*/false,
+                            /*AbortOnStopRequest=*/false) != 0)
+          continue;
+        Ctx.release();
+        if (Pool.allPacketsEmptyAndIdle())
+          return;
+        std::this_thread::yield();
+      }
+    });
+    return Trace.cycleTracedBytes();
+  }
+
+private:
+  HeapSpace Heap;
+  PacketPool Pool;
+  ThreadRegistry Registry;
+  Tracer Trace;
+  std::vector<Object *> Roots;
+};
+
+/// Parallel mark rate on MarkGraph, serially (workers=0) or on a
+/// 2-worker pool. Reports bytes traced per second.
+void BM_ParallelMark(benchmark::State &State) {
+  MarkGraph Graph;
+  WorkerPool Workers(static_cast<unsigned>(State.range(0)));
+  uint64_t Traced = 0;
+  for (auto _ : State) {
+    State.PauseTiming();
+    Graph.reset();
+    State.ResumeTiming();
+    Traced = Graph.markAll(Workers);
+    benchmark::DoNotOptimize(Traced);
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Traced));
+  State.counters["traced_mb"] = static_cast<double>(Traced) / (1u << 20);
+}
+BENCHMARK(BM_ParallelMark)
+    ->Arg(0)
+    ->Arg(2)
+    ->ArgName("workers")
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/// The mark rate for the machine-readable output: the median of nine
+/// markAll runs per worker count, as MB traced per second.
+void emitMarkRateRows(BenchJsonWriter &Json) {
+  MarkGraph Graph;
+  for (unsigned NumWorkers : {0u, 2u}) {
+    WorkerPool Workers(NumWorkers);
+    std::vector<double> Rates;
+    uint64_t Traced = 0;
+    for (int Rep = 0; Rep < 9; ++Rep) {
+      Graph.reset();
+      Stopwatch Timer;
+      Traced = Graph.markAll(Workers);
+      Rates.push_back(static_cast<double>(Traced) / (1u << 20) /
+                      (static_cast<double>(Timer.elapsedNanos()) * 1e-9));
+    }
+    std::nth_element(Rates.begin(), Rates.begin() + 4, Rates.end());
+    Json.beginRow("parallel_mark,workers=" + std::to_string(NumWorkers));
+    Json.addConfig("workers", NumWorkers);
+    Json.addMetric("mark_mb_per_s", Rates[4], "MB/s");
+    Json.addMetric("traced_mb", static_cast<double>(Traced) / (1u << 20),
+                   "MB");
+  }
+}
+
 /// Manual allocation-cost measurement for the machine-readable output:
 /// a fixed count of small allocations per flag setting, reporting
 /// cycles per allocation and shard-lock acquisitions per allocation as
@@ -251,7 +392,8 @@ void emitAllocCostRows(BenchJsonWriter &Json) {
 
 // Custom main instead of BENCHMARK_MAIN(): the google-benchmark suite
 // runs exactly as before (all flags honored, argless run included),
-// then the allocation-cost rows are emitted as a cgc-bench-v1 document.
+// then the allocation-cost and mark-rate rows are emitted as a
+// cgc-bench-v1 document.
 // CI's observe job shortens the gbench half with --benchmark_filter.
 int main(int argc, char **argv) {
   benchmark::Initialize(&argc, argv);
@@ -262,6 +404,7 @@ int main(int argc, char **argv) {
 
   BenchJsonWriter Json("micro_ops");
   emitAllocCostRows(Json);
+  emitMarkRateRows(Json);
   emitBenchJson(Json);
   return 0;
 }

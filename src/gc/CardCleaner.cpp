@@ -149,15 +149,18 @@ size_t CardCleaner::cleanSome(TraceContext &Ctx, size_t MaxCards) {
     if (!I)
       break;
     cleanCard(Ctx, Registered[*I]);
-    Cleaned.fetch_add(1, std::memory_order_release);
-    if (Final)
-      CleanedFinal.fetch_add(1, std::memory_order_relaxed);
-    else
-      CleanedConcurrent.fetch_add(1, std::memory_order_relaxed);
     ++Done;
   }
-  if (Done)
-    CGC_OBS_EVENT_P(Obs, CardCleanSlice, Done, registeredNotCleaned());
+  if (Done == 0)
+    return 0;
+  // Publish the call's cards once, after all of them are cleaned: the
+  // per-card claim above distributes the work, these counters only
+  // report it. Cleaned's release pairs with currentPassDrained()'s
+  // acquire, so a drained pass implies every claimed card was cleaned.
+  Cleaned.fetch_add(Done, std::memory_order_release);
+  (Final ? CleanedFinal : CleanedConcurrent)
+      .fetch_add(Done, std::memory_order_relaxed);
+  CGC_OBS_EVENT_P(Obs, CardCleanSlice, Done, registeredNotCleaned());
   return Done;
 }
 

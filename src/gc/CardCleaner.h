@@ -27,6 +27,7 @@
 #define CGC_GC_CARDCLEANER_H
 
 #include "heap/HeapSpace.h"
+#include "support/Annotations.h"
 #include "support/FaultInjector.h"
 #include "support/SpinLock.h"
 #include "workpackets/TraceContext.h"
@@ -85,7 +86,8 @@ public:
 
   /// Claims and cleans up to \p MaxCards registered cards, pushing their
   /// marked objects through \p Ctx. Returns cards cleaned (0 = pass
-  /// drained or none active).
+  /// drained or none active). The cleaned counters grow by the return
+  /// value once, when the call has cleaned all of its cards.
   size_t cleanSome(TraceContext &Ctx, size_t MaxCards);
 
   /// Whether every registered card of the current pass has been cleaned.
@@ -130,24 +132,43 @@ private:
 
   SpinLock RegistrarLock;
   std::vector<uint32_t> Registered;
+  CGC_ATOMIC_DOC("registrar stores once per pass (release, after the "
+                 "handshake); cleaners acquire-load it before claiming")
   std::atomic<size_t> RegisteredCount{0};
+  CGC_ATOMIC_DOC("per-card claim cursor: atomicClaimBelow by every cleaner, "
+                 "bounded by RegisteredCount; this distributes the work")
   std::atomic<size_t> NextIndex{0};
+  CGC_ATOMIC_DOC("cleaner-local count, published once per cleanSome call "
+                 "after its cards are cleaned (release); acquire in "
+                 "currentPassDrained")
   std::atomic<size_t> Cleaned{0};
 
   /// Latched by beginCycle() (under the collect lock) and read without
   /// it by the background/watchdog completeness probes; relaxed is
   /// enough — a transiently stale budget only delays one probe, the
   /// finish path re-checks under the collect lock.
+  CGC_ATOMIC_DOC("stored once per cycle by beginCycle; relaxed probe reads")
   std::atomic<unsigned> PassBudget{1};
+  CGC_ATOMIC_DOC("registrar adds once per started pass (release); acquire "
+                 "reads in the pass-budget and completeness probes")
   std::atomic<unsigned> PassesStarted{0};
+  CGC_ATOMIC_DOC("stored by beginCycle and each beginFinalPass, both under "
+                 "RegistrarLock; relaxed reads")
   std::atomic<bool> FinalMode{false};
   /// Registration completed but its fence handshake timed out; the pass
   /// is unpublished (RegisteredCount still 0) and not counted against
   /// the budget until a retried handshake succeeds.
+  CGC_ATOMIC_DOC("written under RegistrarLock once per registration or "
+                 "handshake retry; relaxed fencePending() reads")
   std::atomic<bool> PendingFence{false};
 
+  CGC_ATOMIC_DOC("cleaner-local count, published once per concurrent "
+                 "cleanSome call; relaxed, read by the watchdog and stats")
   std::atomic<uint64_t> CleanedConcurrent{0};
+  CGC_ATOMIC_DOC("cleaner-local count, published once per final-pass "
+                 "cleanSome call; relaxed, read after the pause's drain")
   std::atomic<uint64_t> CleanedFinal{0};
+  CGC_ATOMIC_DOC("registrar adds once per registration; relaxed stats reads")
   std::atomic<uint64_t> TotalRegistered{0};
 };
 

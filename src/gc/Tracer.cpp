@@ -60,14 +60,13 @@ size_t Tracer::scanObject(TraceContext &Ctx, Object *Obj) {
       Compact->recordSlot(Obj, I);
     markAndQueue(Ctx, Child);
   }
-  size_t Size = Obj->sizeBytes();
-  TracedBytes.fetch_add(Size, std::memory_order_relaxed);
-  return Size;
+  return Obj->sizeBytes();
 }
 
 size_t Tracer::traceWork(TraceContext &Ctx, size_t BudgetBytes,
                          bool CheckAllocBits, bool AbortOnStopRequest) {
   size_t Done = 0;
+  uint64_t DeferredHere = 0;
   // Safety classification of the current input packet's entries
   // (indices match the packet's LIFO positions).
   std::bitset<WorkPacket::Capacity> Safe;
@@ -137,7 +136,7 @@ size_t Tracer::traceWork(TraceContext &Ctx, size_t BudgetBytes,
       if (CheckAllocBits && !Safe[Index]) {
         // Allocation bit not visible: the object's initializing stores
         // may not be either. Defer it (Section 5.2 step 4).
-        Deferred.fetch_add(1, std::memory_order_relaxed);
+        ++DeferredHere;
         if (!Ctx.pushDeferred(Obj)) {
           // No empty packet for the deferred side: fall back to the
           // overflow treatment; the object is already marked, so a dirty
@@ -153,5 +152,11 @@ size_t Tracer::traceWork(TraceContext &Ctx, size_t BudgetBytes,
       Done += scanObject(Ctx, Obj);
     }
   }
+  // Every exit of the loop above (budget spent, stop request, no input,
+  // injected fault) ends here: publish this call's work once, not once
+  // per object (DESIGN.md §4 hot-path rule).
+  TracedBytes.fetch_add(Done, std::memory_order_relaxed);
+  if (DeferredHere)
+    Deferred.fetch_add(DeferredHere, std::memory_order_relaxed);
   return Done;
 }

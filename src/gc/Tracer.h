@@ -15,6 +15,11 @@
 /// then safe objects are scanned and unsafe ones are deferred to the
 /// Deferred sub-pool (their header stores may not be visible yet).
 ///
+/// Hot-path rule: per object, a participant's only shared writes are the
+/// mark bit and its packet push. Work counters are summed locally and
+/// published once per traceWork call, so cycleTracedBytes() lags the
+/// true total by at most each participant's in-flight call.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CGC_GC_TRACER_H
@@ -22,6 +27,7 @@
 
 #include "gc/Compactor.h"
 #include "heap/HeapSpace.h"
+#include "support/Annotations.h"
 #include "support/FaultInjector.h"
 #include "workpackets/TraceContext.h"
 
@@ -69,15 +75,14 @@ public:
   /// \p AbortOnStopRequest makes the loop return early when a
   /// stop-the-world has been requested (mutator increments must not
   /// delay the pause; STW workers pass false).
-  /// Returns the number of object bytes scanned.
+  /// Returns the number of object bytes scanned, which this call adds to
+  /// cycleTracedBytes() (and its deferrals to deferredCount()) once, on
+  /// return.
   size_t traceWork(TraceContext &Ctx, size_t BudgetBytes, bool CheckAllocBits,
                    bool AbortOnStopRequest);
 
-  /// Scans one object's reference slots, marking and queueing children.
-  /// Returns the object's size in bytes (the unit of tracing work).
-  size_t scanObject(TraceContext &Ctx, Object *Obj);
-
   /// Total bytes traced since beginCycle (the progress formula's T).
+  /// Excludes the work of traceWork calls still in flight.
   uint64_t cycleTracedBytes() const {
     return TracedBytes.load(std::memory_order_relaxed);
   }
@@ -95,6 +100,11 @@ public:
   }
 
 private:
+  /// Scans one object's reference slots, marking and queueing children.
+  /// Returns the object's size in bytes (the unit of tracing work); the
+  /// caller accounts it.
+  size_t scanObject(TraceContext &Ctx, Object *Obj);
+
   HeapSpace &Heap;
   PacketPool &Pool;
   ThreadRegistry &Registry;
@@ -103,8 +113,14 @@ private:
   FaultInjector *FI;
   GcObserver *Obs;
 
+  CGC_ATOMIC_DOC("participant-local sum, published once per traceWork call "
+                 "(plus addTracedBytes); relaxed, read by pacer and watchdog")
   std::atomic<uint64_t> TracedBytes{0};
+  CGC_ATOMIC_DOC("relaxed add per overflow (rare: pool exhausted); the "
+                 "running total labels the Overflow event")
   std::atomic<uint64_t> Overflows{0};
+  CGC_ATOMIC_DOC("participant-local count, published once per traceWork "
+                 "call; relaxed, read by the watchdog progress probe")
   std::atomic<uint64_t> Deferred{0};
 };
 

@@ -47,6 +47,27 @@ enum OpCode : uint8_t { OpConst, OpVar, OpAdd, OpSub, OpMul, OpNeg, OpHalt };
 
 constexpr unsigned NumVars = 8;
 
+/// The language's arithmetic: \p Kind is AstAdd, AstSub, AstMul or
+/// AstNeg (which ignores \p B). Results wrap in two's complement, computed
+/// in uint64_t so overflow is defined; the folder, the evaluation oracle
+/// and the interpreter all go through here and so always agree.
+int64_t wrapArith(AstKind Kind, int64_t A, int64_t B) {
+  uint64_t X = static_cast<uint64_t>(A), Y = static_cast<uint64_t>(B);
+  switch (Kind) {
+  case AstAdd:
+    return static_cast<int64_t>(X + Y);
+  case AstSub:
+    return static_cast<int64_t>(X - Y);
+  case AstMul:
+    return static_cast<int64_t>(X * Y);
+  case AstNeg:
+    return static_cast<int64_t>(0 - X);
+  default:
+    assert(false && "not an arithmetic node kind");
+    return 0;
+  }
+}
+
 /// Payload layout of tokens and AST nodes: [0] kind, [1] var index,
 /// [8..15] 64-bit literal value.
 struct NodeBits {
@@ -77,6 +98,11 @@ public:
   /// Returns nullptr on heap exhaustion.
   Object *compileFunction(const int64_t Vars[NumVars], int64_t &Expected,
                           unsigned MaxDepth, bool &Corrupt);
+
+  /// compileFunction's pipeline on given \p Source.
+  Object *compileSource(const std::string &Source,
+                        const int64_t Vars[NumVars], int64_t &Expected,
+                        bool &Corrupt);
 
   /// Executes a compiled code object on the stack machine.
   static int64_t interpret(const Object *Code, const int64_t Vars[NumVars]);
@@ -334,35 +360,31 @@ Object *Compiler::fold(Object *Node) {
     Heap.writeRef(Ctx, Node, 1, Rhs);
   auto isNum = [](Object *N) { return N && NodeBits::kind(N) == AstNum; };
   if (Kind == AstNeg && isNum(Lhs))
-    return newAst(AstNum, 0, -NodeBits::value(Lhs), nullptr, nullptr);
+    return newAst(AstNum, 0, wrapArith(AstNeg, NodeBits::value(Lhs), 0),
+                  nullptr, nullptr);
   // cgc-mole: allow(M1): Lhs/Rhs pinned by anchored() shadow stack
-  if (isNum(Lhs) && isNum(Rhs)) {
-    int64_t A = NodeBits::value(Lhs), B = NodeBits::value(Rhs);
-    int64_t V = Kind == AstAdd   ? A + B
-                : Kind == AstSub ? A - B
-                                 : A * B;
-    return newAst(AstNum, 0, V, nullptr, nullptr);
-  }
+  if (isNum(Lhs) && isNum(Rhs))
+    return newAst(AstNum, 0,
+                  wrapArith(static_cast<AstKind>(Kind), NodeBits::value(Lhs),
+                            NodeBits::value(Rhs)),
+                  nullptr, nullptr);
   return Node;
 }
 
 int64_t Compiler::evalAst(const Object *Node, const int64_t Vars[NumVars]) {
-  switch (NodeBits::kind(Node)) {
+  switch (uint8_t Kind = NodeBits::kind(Node)) {
   case AstNum:
     return NodeBits::value(Node);
   case AstVar:
     return Vars[NodeBits::varIndex(Node)];
   case AstNeg:
-    return -evalAst(GcHeap::readRef(Node, 0), Vars);
+    return wrapArith(AstNeg, evalAst(GcHeap::readRef(Node, 0), Vars), 0);
   case AstAdd:
-    return evalAst(GcHeap::readRef(Node, 0), Vars) +
-           evalAst(GcHeap::readRef(Node, 1), Vars);
   case AstSub:
-    return evalAst(GcHeap::readRef(Node, 0), Vars) -
-           evalAst(GcHeap::readRef(Node, 1), Vars);
   case AstMul:
-    return evalAst(GcHeap::readRef(Node, 0), Vars) *
-           evalAst(GcHeap::readRef(Node, 1), Vars);
+    return wrapArith(static_cast<AstKind>(Kind),
+                     evalAst(GcHeap::readRef(Node, 0), Vars),
+                     evalAst(GcHeap::readRef(Node, 1), Vars));
   }
   assert(false && "corrupt AST node kind");
   return 0;
@@ -452,19 +474,19 @@ int64_t Compiler::interpret(const Object *Code,
       Stack[++Top] = Vars[Ops[++PC]];
       break;
     case OpAdd:
-      Stack[Top - 1] = Stack[Top - 1] + Stack[Top];
+      Stack[Top - 1] = wrapArith(AstAdd, Stack[Top - 1], Stack[Top]);
       --Top;
       break;
     case OpSub:
-      Stack[Top - 1] = Stack[Top - 1] - Stack[Top];
+      Stack[Top - 1] = wrapArith(AstSub, Stack[Top - 1], Stack[Top]);
       --Top;
       break;
     case OpMul:
-      Stack[Top - 1] = Stack[Top - 1] * Stack[Top];
+      Stack[Top - 1] = wrapArith(AstMul, Stack[Top - 1], Stack[Top]);
       --Top;
       break;
     case OpNeg:
-      Stack[Top] = -Stack[Top];
+      Stack[Top] = wrapArith(AstNeg, Stack[Top], 0);
       break;
     case OpHalt:
       assert(Top == 0 && "stack imbalance in compiled code");
@@ -479,11 +501,16 @@ int64_t Compiler::interpret(const Object *Code,
 Object *Compiler::compileFunction(const int64_t Vars[NumVars],
                                   int64_t &Expected, unsigned MaxDepth,
                                   bool &Corrupt) {
-  PushedRoots = 0;
-  Failed = false;
-
   std::string Source;
   genExprSource(Source, 1 + Rng.nextBelow(MaxDepth));
+  return compileSource(Source, Vars, Expected, Corrupt);
+}
+
+Object *Compiler::compileSource(const std::string &Source,
+                                const int64_t Vars[NumVars],
+                                int64_t &Expected, bool &Corrupt) {
+  PushedRoots = 0;
+  Failed = false;
 
   Object *Tokens = lex(Source);
   Object *Ast = nullptr;
@@ -529,6 +556,23 @@ Object *Compiler::compileFunction(const int64_t Vars[NumVars],
 }
 
 } // namespace
+
+CompiledExpression cgc::compileExpression(GcHeap &Heap, MutatorContext &Ctx,
+                                          const std::string &Source,
+                                          const int64_t (&Vars)[NumVars]) {
+  Random Rng(0); // Only source generation draws from it.
+  Compiler TheCompiler(Heap, Ctx, Rng);
+  CompiledExpression Out;
+  bool Corrupt = false;
+  Object *Unit =
+      TheCompiler.compileSource(Source, Vars, Out.Evaluated, Corrupt);
+  if (!Unit)
+    return CompiledExpression();
+  Out.Compiled = true;
+  Out.Interpreted = Compiler::interpret(GcHeap::readRef(Unit, 0), Vars);
+  Ctx.popRoots(1);
+  return Out;
+}
 
 void CompilerWorkload::threadMain(unsigned Index, uint64_t DeadlineNs,
                                   WorkloadResult &Result) {

@@ -24,10 +24,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 namespace cgc {
 
 class GcHeap;
+class MutatorContext;
 
 /// Configuration of the compiler workload.
 struct CompilerConfig {
@@ -64,6 +66,24 @@ private:
   GcHeap &Heap;
   CompilerConfig Config;
 };
+
+/// The result of compiling one expression with the workload's pipeline.
+struct CompiledExpression {
+  /// False on heap exhaustion (the other fields are then 0).
+  bool Compiled = false;
+  /// Direct evaluation of the folded AST (the workload's oracle).
+  int64_t Evaluated = 0;
+  /// The compiled stack-machine program's result.
+  int64_t Interpreted = 0;
+};
+
+/// Lexes, parses, constant-folds and compiles \p Source on \p Ctx's
+/// thread, then evaluates it both ways. The language: decimal literals up
+/// to INT64_MAX, variables x0..x7 bound to \p Vars, binary + - *, unary
+/// minus and parentheses. Arithmetic wraps in two's complement.
+CompiledExpression compileExpression(GcHeap &Heap, MutatorContext &Ctx,
+                                     const std::string &Source,
+                                     const int64_t (&Vars)[8]);
 
 } // namespace cgc
 

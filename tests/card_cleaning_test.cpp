@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 using namespace cgc;
 
 namespace {
@@ -183,6 +185,41 @@ TEST_F(CardCleaningTest, IdleCleanersDoNotBurnClaims) {
     ++Count;
   EXPECT_EQ(Count, 2);
   Ctx.release();
+}
+
+TEST_F(CardCleaningTest, ParallelFinalPassPublishesEveryCard) {
+  // Three participants clean a final pass in small slices. The cleaned
+  // counters are published once per cleanSome call; when the pass is
+  // done they must add up to exactly the cards registered.
+  GcOptions Opts;
+  Opts.HeapBytes = 4u << 20;
+  Opts.NumWorkPackets = 64;
+  Opts.BackgroundThreads = 0;
+  Opts.GcWorkerThreads = 2;
+  Core = std::make_unique<GcCore>(Opts);
+  Core->Cleaner.beginCycle(0);
+  constexpr size_t NumCards = 300;
+  for (size_t I = 0; I < NumCards; ++I)
+    Core->Heap.cards().dirty(plantMarked(I * CardTable::CardBytes * 3, 64));
+  ASSERT_EQ(Core->Workers.numParticipants(), 3u);
+  ASSERT_EQ(Core->Cleaner.beginFinalPass(), NumCards);
+
+  std::atomic<size_t> Returned{0};
+  std::atomic<size_t> Pushed{0};
+  Core->Workers.runParallel([&](unsigned) {
+    TraceContext Ctx(Core->Pool);
+    while (size_t N = Core->Cleaner.cleanSome(Ctx, 4))
+      Returned.fetch_add(N, std::memory_order_relaxed);
+    while (Ctx.popWork())
+      Pushed.fetch_add(1, std::memory_order_relaxed);
+    Ctx.release();
+  });
+  EXPECT_EQ(Returned.load(), NumCards);
+  EXPECT_EQ(Pushed.load(), NumCards) << "each card cleaned exactly once";
+  EXPECT_EQ(Core->Cleaner.cleanedFinal(), NumCards);
+  EXPECT_EQ(Core->Cleaner.cleanedConcurrent(), 0u);
+  EXPECT_TRUE(Core->Cleaner.currentPassDrained());
+  EXPECT_EQ(Core->Cleaner.registeredNotCleaned(), 0u);
 }
 
 TEST_F(CardCleaningTest, TotalRegisteredAccumulates) {

@@ -67,6 +67,41 @@ TEST_P(WorkloadOnBothCollectors, CompilerProducesCorrectCode) {
       << "compiled code disagreed with the AST oracle";
 }
 
+TEST(CompilerArithmeticTest, OverflowWrapsInFoldEvalAndInterpreter) {
+  // Constants whose product (or negation) overflows int64: folding, the
+  // AST oracle and the interpreter must all wrap in two's complement,
+  // without signed-overflow UB (checked by the UBSan build).
+  GcOptions Opts;
+  Opts.HeapBytes = 4u << 20;
+  auto Heap = GcHeap::create(Opts);
+  MutatorContext &Ctx = Heap->attachThread();
+  auto wrapMul = [](uint64_t A, uint64_t B) {
+    return static_cast<int64_t>(A * B);
+  };
+  int64_t Vars[8] = {1, INT64_MIN, 0, 0, 0, 0, 0, 0};
+  struct Case {
+    const char *Source;
+    int64_t Want;
+  } Cases[] = {
+      // Folded at compile time.
+      {"3037000500*3037000500", wrapMul(3037000500u, 3037000500u)},
+      {"-(0-9223372036854775807-1)", INT64_MIN},
+      {"9223372036854775807+1", INT64_MIN},
+      // Evaluated at run time (x0 = 1 keeps the AST unfolded).
+      {"x0*3037000500*3037000500", wrapMul(3037000500u, 3037000500u)},
+      {"-x1", INT64_MIN},
+      {"x1-x0", INT64_MAX},
+      {"x0*4611686018427387904*4", 0},
+  };
+  for (const Case &C : Cases) {
+    CompiledExpression R = compileExpression(*Heap, Ctx, C.Source, Vars);
+    ASSERT_TRUE(R.Compiled) << C.Source;
+    EXPECT_EQ(R.Evaluated, C.Want) << C.Source;
+    EXPECT_EQ(R.Interpreted, C.Want) << C.Source;
+  }
+  Heap->detachThread(Ctx);
+}
+
 TEST_P(WorkloadOnBothCollectors, BinaryTreesChecksumsStable) {
   auto Heap = GcHeap::create(smallHeap(GetParam()));
   BinaryTreesConfig Config;

@@ -277,6 +277,7 @@ bool annotatedHeader(const std::string &Path) {
       "workpackets/PacketPool.h",
       "mutator/ThreadRegistry.h", "mutator/MutatorContext.h",
       "gc/Pacer.h",            "gc/Compactor.h",
+      "gc/Tracer.h",           "gc/CardCleaner.h",
       "observe/EventRing.h",   "observe/Observe.h",
       "observe/MetricsRegistry.h"};
   return Headers.count(Path) != 0;
