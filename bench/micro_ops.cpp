@@ -3,15 +3,16 @@
 /// Costs of the collector's hot operations: the allocation fast path,
 /// the fence-free card-marking write barrier, allocation-bit flushing,
 /// mark-bit test-and-set, work-packet get/put, the parallel mark rate
-/// (Section 4) and the bitwise sweep rate (Section 2.2), serial and
-/// parallel. These are the per-operation overheads the paper's design
-/// minimizes (Sections 1.1 and 5): the write barrier is two plain
-/// stores; the allocation fast path is a bump pointer; fences are
-/// batched out of both.
+/// (Section 4), the bitwise sweep rate (Section 2.2), serial and
+/// parallel, and the final card-cleaning pass (Section 2.1). These are
+/// the per-operation overheads the paper's design minimizes (Sections
+/// 1.1 and 5): the write barrier is two plain stores; the allocation
+/// fast path is a bump pointer; fences are batched out of both.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
+#include "gc/CardCleaner.h"
 #include "gc/Sweeper.h"
 #include "gc/Tracer.h"
 #include "gc/WorkerPool.h"
@@ -166,35 +167,72 @@ void BM_CacheFlushPer64Objects(benchmark::State &State) {
 }
 BENCHMARK(BM_CacheFlushPer64Objects);
 
-/// Bitwise sweep rate: a seeded, fragmented 32 MB heap (4 free-list
-/// shards) packed with 16-512 B objects, each live with probability
-/// live_pct, swept serially (workers=0) or on a 2-worker pool. The mark
-/// bits never change, so every iteration rebuilds the same free list.
-/// Reports heap bytes swept per second and shard-lock acquisitions per
-/// sweep (the clear plus one per chunk and shard it publishes to).
-void BM_SweepAll(benchmark::State &State) {
-  const double LiveFrac = static_cast<double>(State.range(0)) / 100.0;
-  const auto NumWorkers = static_cast<unsigned>(State.range(1));
-  HeapSpace Heap(32u << 20, /*FreeListShards=*/4);
-  Random Rng(0x5ee9);
-  for (size_t Offset = 0;;) {
-    size_t Bytes = GranuleBytes * Rng.nextInRange(2, 64);
-    if (Offset + Bytes > Heap.sizeBytes())
-      break;
-    Object *Obj = reinterpret_cast<Object *>(Heap.base() + Offset);
-    Obj->initialize(static_cast<uint32_t>(Bytes), 0, 0);
-    Heap.allocBits().set(Obj);
-    if (Rng.nextBool(LiveFrac))
-      Heap.markBits().set(Obj);
-    Offset += Bytes;
+/// A seeded 32 MB heap (4 free-list shards) for the bitwise sweep rate,
+/// packed end to end in one of two layouts. Scattered: 16-512 B objects,
+/// each live with probability live_pct. Warehouse: the Warehouse
+/// workload's order trees (order, line array, 8 lines: adjacent 64-80 B
+/// objects), each tree live or dead as a unit with probability live_pct,
+/// as orders die in that workload. The mark bits never change, so every
+/// sweepAll rebuilds the same free list.
+class SweepHeap {
+public:
+  enum Layout { Scattered = 0, Warehouse = 1 };
+
+  SweepHeap(unsigned LivePct, Layout Shape)
+      : Heap(32u << 20, /*FreeListShards=*/4), Sweep(Heap) {
+    const double LiveFrac = static_cast<double>(LivePct) / 100.0;
+    Random Rng(0x5ee9);
+    auto place = [&](size_t Offset, size_t Bytes, bool Live) {
+      Object *Obj = reinterpret_cast<Object *>(Heap.base() + Offset);
+      Obj->initialize(static_cast<uint32_t>(Bytes), 0, 0);
+      Heap.allocBits().set(Obj);
+      if (Live)
+        Heap.markBits().set(Obj);
+    };
+    if (Shape == Scattered) {
+      for (size_t Offset = 0;;) {
+        size_t Bytes = GranuleBytes * Rng.nextInRange(2, 64);
+        if (Offset + Bytes > Heap.sizeBytes())
+          break;
+        place(Offset, Bytes, Rng.nextBool(LiveFrac));
+        Offset += Bytes;
+      }
+      return;
+    }
+    WarehouseConfig Tree;
+    const size_t Sizes[] = {
+        Object::requiredSize(Tree.OrderPayloadBytes, 1),
+        Object::requiredSize(0, static_cast<uint16_t>(Tree.LinesPerOrder)),
+        Object::requiredSize(Tree.LinePayloadBytes, 1)};
+    for (size_t Offset = 0; Offset + Tree.treeBytes() <= Heap.sizeBytes();) {
+      bool Live = Rng.nextBool(LiveFrac);
+      place(Offset, Sizes[0], Live);
+      place(Offset + Sizes[0], Sizes[1], Live);
+      for (unsigned L = 0; L < Tree.LinesPerOrder; ++L)
+        place(Offset + Sizes[0] + Sizes[1] + L * Sizes[2], Sizes[2], Live);
+      Offset += Tree.treeBytes();
+    }
   }
-  Sweeper Sweep(Heap);
+
+  HeapSpace Heap;
+  Sweeper Sweep;
+};
+
+/// Bitwise sweep rate on SweepHeap, swept serially (workers=0) or on a
+/// 2-worker pool. Reports heap bytes swept per second and shard-lock
+/// acquisitions per sweep (the clear plus one per chunk and shard it
+/// publishes to).
+void BM_SweepAll(benchmark::State &State) {
+  SweepHeap Swept(static_cast<unsigned>(State.range(0)),
+                  static_cast<SweepHeap::Layout>(State.range(2)));
+  HeapSpace &Heap = Swept.Heap;
+  const auto NumWorkers = static_cast<unsigned>(State.range(1));
   std::unique_ptr<WorkerPool> Pool;
   if (NumWorkers)
     Pool = std::make_unique<WorkerPool>(NumWorkers);
   const uint64_t LocksBefore = Heap.freeList().lockAcquisitions();
   for (auto _ : State)
-    benchmark::DoNotOptimize(Sweep.sweepAll(Pool.get()));
+    benchmark::DoNotOptimize(Swept.Sweep.sweepAll(Pool.get()));
   const auto Sweeps = static_cast<double>(State.iterations());
   State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(Heap.sizeBytes()));
@@ -205,10 +243,93 @@ void BM_SweepAll(benchmark::State &State) {
       static_cast<double>(Heap.freeList().numRanges());
 }
 BENCHMARK(BM_SweepAll)
-    ->ArgsProduct({{10, 50, 90}, {0, 2}})
-    ->ArgNames({"live_pct", "workers"})
+    ->ArgsProduct({{10, 50, 90}, {0, 2}, {0, 1}})
+    ->ArgNames({"live_pct", "workers", "warehouse"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/// The sweep rate for the machine-readable output: the median of nine
+/// sweepAll runs per (layout, live_pct, workers), as heap MB swept per
+/// second. Scattered rows are labelled sweep_all,live_pct=N,workers=W;
+/// warehouse rows carry layout=warehouse first.
+void emitSweepRateRows(BenchJsonWriter &Json) {
+  for (auto Layout : {SweepHeap::Scattered, SweepHeap::Warehouse})
+    for (unsigned LivePct : {10u, 50u, 90u}) {
+      SweepHeap Swept(LivePct, Layout);
+      for (unsigned NumWorkers : {0u, 2u}) {
+        std::unique_ptr<WorkerPool> Pool;
+        if (NumWorkers)
+          Pool = std::make_unique<WorkerPool>(NumWorkers);
+        std::vector<double> Rates;
+        for (int Rep = 0; Rep < 9; ++Rep) {
+          Stopwatch Timer;
+          benchmark::DoNotOptimize(Swept.Sweep.sweepAll(Pool.get()));
+          Rates.push_back(
+              static_cast<double>(Swept.Heap.sizeBytes()) / (1u << 20) /
+              (static_cast<double>(Timer.elapsedNanos()) * 1e-9));
+        }
+        std::nth_element(Rates.begin(), Rates.begin() + 4, Rates.end());
+        Json.beginRow(std::string("sweep_all,") +
+                      (Layout == SweepHeap::Warehouse ? "layout=warehouse,"
+                                                      : "") +
+                      "live_pct=" + std::to_string(LivePct) +
+                      ",workers=" + std::to_string(NumWorkers));
+        Json.addConfig("live_pct", LivePct);
+        Json.addConfig("workers", NumWorkers);
+        Json.addConfig("warehouse", Layout == SweepHeap::Warehouse ? 1 : 0);
+        Json.addMetric("sweep_mb_per_s", Rates[4], "MB/s");
+      }
+    }
+}
+
+/// Card-cleaning cost for the machine-readable output: a final pass
+/// (register, then clean on one thread) over 4096 seeded dirty cards of
+/// a 32 MB heap densely packed with marked 64-88 B objects. Cleaning a
+/// card pushes its marked objects onto the work packets; the loop pops
+/// them back off between cleanSome calls so the pool never overflows.
+/// Reports the median of nine passes as ns per card.
+void emitCardCleanRow(BenchJsonWriter &Json) {
+  HeapSpace Heap(32u << 20);
+  ThreadRegistry Registry;
+  CardCleaner Cleaner(Heap, Registry);
+  PacketPool Pool(64);
+  Random Rng(0xca4d);
+  for (size_t Offset = 0;;) {
+    size_t Bytes = GranuleBytes * Rng.nextInRange(8, 11);
+    if (Offset + Bytes > Heap.sizeBytes())
+      break;
+    Object *Obj = reinterpret_cast<Object *>(Heap.base() + Offset);
+    Obj->initialize(static_cast<uint32_t>(Bytes), 0, 0);
+    Heap.allocBits().set(Obj);
+    Heap.markBits().set(Obj);
+    Offset += Bytes;
+  }
+  constexpr size_t NumDirty = 4096;
+  std::vector<uint8_t *> Cards;
+  for (size_t I = 0; I < NumDirty; ++I)
+    Cards.push_back(Heap.cards().cardStart(
+        Rng.nextBelow(Heap.cards().numCards())));
+  std::vector<double> NsPerCard;
+  size_t Cleaned = 0;
+  for (int Rep = 0; Rep < 9; ++Rep) {
+    Cleaner.beginCycle(0);
+    for (uint8_t *Card : Cards)
+      Heap.cards().dirty(Card);
+    TraceContext Ctx(Pool);
+    Stopwatch Timer;
+    Cleaned = Cleaner.beginFinalPass();
+    while (Cleaner.cleanSome(Ctx, 16) != 0)
+      while (Ctx.popWork())
+        ;
+    NsPerCard.push_back(static_cast<double>(Timer.elapsedNanos()) /
+                        static_cast<double>(Cleaned));
+    Ctx.release();
+  }
+  std::nth_element(NsPerCard.begin(), NsPerCard.begin() + 4, NsPerCard.end());
+  Json.beginRow("card_clean,final_pass");
+  Json.addConfig("dirty_cards", static_cast<double>(Cleaned));
+  Json.addMetric("card_clean_ns_per_card", NsPerCard[4], "ns");
+}
 
 /// A seeded, warehouse-shaped live graph for the mark rate: about 24 MB
 /// of order trees (order -> line array -> 8 lines, the WarehouseConfig
@@ -392,8 +513,8 @@ void emitAllocCostRows(BenchJsonWriter &Json) {
 
 // Custom main instead of BENCHMARK_MAIN(): the google-benchmark suite
 // runs exactly as before (all flags honored, argless run included),
-// then the allocation-cost and mark-rate rows are emitted as a
-// cgc-bench-v1 document.
+// then the allocation-cost, mark-rate, sweep-rate and card-cleaning rows
+// are emitted as a cgc-bench-v1 document.
 // CI's observe job shortens the gbench half with --benchmark_filter.
 int main(int argc, char **argv) {
   benchmark::Initialize(&argc, argv);
@@ -405,6 +526,8 @@ int main(int argc, char **argv) {
   BenchJsonWriter Json("micro_ops");
   emitAllocCostRows(Json);
   emitMarkRateRows(Json);
+  emitSweepRateRows(Json);
+  emitCardCleanRow(Json);
   emitBenchJson(Json);
   return 0;
 }

@@ -414,10 +414,11 @@ Compactor::Stats Compactor::evacuate(ThreadRegistry &Registry,
 
   // 5. Rebuild the area's free space: everything except the objects
   //    that stayed (pinned or failed) is free now. A mini bitwise sweep
-  //    over the area derives the maximal runs; a live object straddling
-  //    in from before the area keeps its extent. Serial: it is one
-  //    area's worth of bitmap, and its runs are published in one batch
-  //    (one lock acquisition per shard the area covers).
+  //    over the area (the sweep's own walk) derives the maximal runs; a
+  //    live object straddling in from before the area keeps its extent.
+  //    Serial: it is one area's worth of bitmap, and its runs are
+  //    published in one batch (one lock acquisition per shard the area
+  //    covers).
   std::vector<FreeRange> Rebuilt;
   uint8_t *Pos = Lo;
   if (uint8_t *PrevMarked = Heap.markBits().findPrevSet(Lo)) {
@@ -425,17 +426,13 @@ Compactor::Stats Compactor::evacuate(ThreadRegistry &Registry,
     if (PrevEnd > Pos)
       Pos = PrevEnd;
   }
-  while (Pos < Hi) {
-    uint8_t *NextLive = Heap.markBits().findNextSet(Pos, Hi);
-    uint8_t *RunEnd = NextLive ? NextLive : Hi;
-    if (RunEnd > Pos) {
-      Heap.allocBits().clearRange(Pos, RunEnd);
-      Rebuilt.emplace_back(Pos, static_cast<size_t>(RunEnd - Pos));
-    }
-    if (!NextLive)
-      break;
-    Pos = reinterpret_cast<Object *>(NextLive)->end();
-  }
+  Sweeper::walkLiveRuns(
+      Heap.markBits(), Pos, Hi,
+      [&](uint8_t *From, uint8_t *To) {
+        Heap.allocBits().clearRange(From, To);
+        Rebuilt.emplace_back(From, static_cast<size_t>(To - From));
+      },
+      [](Object *) {});
 
   // 5b. A moved straddler's tail [Hi, old end) was live when the
   //     outside sweep passed it, so nobody else returns it. Add the

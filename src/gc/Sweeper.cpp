@@ -5,6 +5,7 @@
 #include "gc/WorkerPool.h"
 #include "observe/Observe.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace cgc;
@@ -47,15 +48,18 @@ Sweeper::ChunkResult Sweeper::sweepChunk(size_t Index,
                                          std::vector<FreeRange> &Batch) {
   ChunkResult Result;
   Batch.clear();
-  uint8_t *ChunkEnd = Heap.base() + (Index + 1) * ChunkBytes;
+  uint8_t *ChunkStart = Heap.base() + Index * ChunkBytes;
+  uint8_t *ChunkEnd = ChunkStart + ChunkBytes;
   if (ChunkEnd > Heap.limit())
     ChunkEnd = Heap.limit();
   uint8_t *Pos = chunkSweepStart(Index);
+  // The span a live straddler covers is a body: no allocation bits.
+  assert(!Heap.allocBits().findNextSet(ChunkStart, std::min(Pos, ChunkEnd)) &&
+         "allocation bit inside a live object's body");
 
-  auto reclaimRaw = [&](uint8_t *From, uint8_t *To) {
+  auto keep = [&](uint8_t *From, uint8_t *To) {
     if (From >= To)
       return;
-    Heap.allocBits().clearRange(From, To);
     size_t Size = static_cast<size_t>(To - From);
     if (Size >= MinFreeRangeBytes) {
       Batch.emplace_back(From, Size);
@@ -70,25 +74,26 @@ Sweeper::ChunkResult Sweeper::sweepChunk(size_t Index,
   uint8_t *XHi = ExclHi.load(std::memory_order_relaxed);
   auto reclaim = [&](uint8_t *From, uint8_t *To) {
     if (XLo < XHi && From < XHi && To > XLo) {
-      reclaimRaw(From, XLo < From ? From : XLo);
-      reclaimRaw(XHi > To ? To : XHi, To);
+      keep(From, XLo < From ? From : XLo);
+      keep(XHi > To ? To : XHi, To);
       return;
     }
-    reclaimRaw(From, To);
+    keep(From, To);
   };
-
-  while (Pos < ChunkEnd) {
-    uint8_t *NextMarked = Heap.markBits().findNextSet(Pos, ChunkEnd);
-    if (!NextMarked) {
-      reclaim(Pos, ChunkEnd);
-      break;
-    }
-    reclaim(Pos, NextMarked);
-    Object *Live = reinterpret_cast<Object *>(NextMarked);
+  // A last live object may extend past ChunkEnd; the next chunk's
+  // leading-edge resolution accounts for it.
+  walkLiveRuns(Heap.markBits(), Pos, ChunkEnd, reclaim, [&](Object *Live) {
     Result.LiveBytes += Live->sizeBytes();
-    Pos = Live->end(); // May extend past ChunkEnd; the next chunk's
-                       // leading-edge resolution accounts for it.
-  }
+    assert(!Heap.allocBits().findNextSet(
+               reinterpret_cast<uint8_t *>(Live) + GranuleBytes,
+               std::min(Live->end(), ChunkEnd)) &&
+           "allocation bit inside a live object's body");
+  });
+  // Every gap's allocation bits (crumbs included, the exclusion window
+  // excluded) in one pass over the chunk's own words; before
+  // publication, so no mutator allocates in them yet.
+  Heap.allocBits().retainRange(Heap.markBits(), ChunkStart, ChunkEnd, XLo,
+                               XHi);
   // One publication per chunk, routed to the shards owning the
   // addresses: small runs go to their lock-free remote-free queues when
   // the fast path is on, the rest to each shard's list under one lock.

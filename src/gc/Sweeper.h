@@ -20,6 +20,34 @@
 /// queueing on one lock. Within a shard, free ranges still coalesce
 /// across chunk boundaries in the address-ordered large map.
 ///
+/// The walk (walkLiveRuns, shared with the compactor's area rebuild)
+/// alternates between the mark bits and the live objects' headers: a
+/// live object's extent is only known once its header is read, and the
+/// search for the next live object starts at its end. Done naively this
+/// is a dependent load chain, one cache miss per live object. The mark
+/// bitmap already lists every upcoming header address, so the walk
+/// enumerates the mark bits ahead of itself (BitVector8::SetBitCursor,
+/// a 64-bit word at a time) into a fixed ring of PrefetchDistance
+/// addresses and prefetches each header as it enters the ring; by the
+/// time the walk reaches it, its size is in cache. Marks the walk has
+/// already passed (inside a live object's extent) are skipped, exactly
+/// as a search starting at the object's end would skip them.
+///
+/// A chunk's dead allocation bits are cleared in one word-wise pass
+/// after the walk, alloc &= mark over the chunk's own bitmap words
+/// (BitVector8::retainRange), instead of one range clear per gap. This
+/// clears exactly the gaps' bits because of two invariants: every mark
+/// bit has its allocation bit (mark ⊆ alloc), and no allocation bit lies
+/// inside a live object's body, so the only allocation bits outside the
+/// gaps are live headers, which are marked. Both are asserted. A 1 MB
+/// chunk is 2048 whole bitmap words that only its sweeper writes until
+/// the chunk's ranges are published, so a relaxed load and store per
+/// word suffices. The exclusion window is the exception: under lazy
+/// sweep, mutators may already allocate from the compactor's rebuilt
+/// area ranges, so a word the window cuts is edited with a masked
+/// fetch_and that leaves the window's bits alone, and words wholly
+/// inside the window are not touched.
+///
 /// Lazy sweep (the paper's future work, Section 7): the sweep is taken
 /// out of the pause and performed incrementally at allocation time, with
 /// completion forced before the next cycle begins.
@@ -100,6 +128,56 @@ public:
         static_cast<size_t>(static_cast<const uint8_t *>(Addr) - Heap.base()) /
         ChunkBytes;
     return Index >= Cursor.load(std::memory_order_relaxed);
+  }
+
+  /// Headers the walk prefetches ahead of the one it is reading.
+  static constexpr unsigned PrefetchDistance = 16;
+
+  /// The bitwise walk over [Pos, End): calls \p Gap(From, To) for each
+  /// maximal run of memory not covered by a live object (non-empty, in
+  /// address order, never crossing End) and \p Live(Object *) for each
+  /// marked object whose header the walk reaches, then continues at that
+  /// object's end. \p Pos must not lie inside a live object. Returns
+  /// where the walk stopped: End, or the end of a last live object that
+  /// extends past it. Reads headers through a prefetch ring fed by
+  /// \p Marks' set-bit cursor (see the file comment).
+  template <typename GapFnT, typename LiveFnT>
+  static uint8_t *walkLiveRuns(const BitVector8 &Marks, uint8_t *Pos,
+                               uint8_t *End, GapFnT &&Gap, LiveFnT &&Live) {
+    static_assert((PrefetchDistance & (PrefetchDistance - 1)) == 0,
+                  "ring index wraps with a mask");
+    constexpr size_t RingMask = PrefetchDistance - 1;
+    BitVector8::SetBitCursor Ahead(Marks, Pos, End);
+    uint8_t *Ring[PrefetchDistance];
+    // Entries [Head, Tail) are pending; the ring is full (Tail - Head ==
+    // PrefetchDistance) until the cursor runs dry.
+    size_t Head = 0, Tail = 0;
+    for (; Tail < PrefetchDistance; ++Tail) {
+      uint8_t *Next = Ahead.next();
+      if (!Next)
+        break;
+      __builtin_prefetch(Next);
+      Ring[Tail] = Next;
+    }
+    while (Head != Tail) {
+      uint8_t *Header = Ring[Head & RingMask];
+      // Refill the slot just read; with a full ring it is Tail's slot.
+      if (uint8_t *Next = Ahead.next()) {
+        __builtin_prefetch(Next);
+        Ring[Tail++ & RingMask] = Next;
+      }
+      ++Head;
+      if (Header < Pos)
+        continue; // A mark inside the previous live object's extent.
+      if (Pos < Header)
+        Gap(Pos, Header);
+      Object *Obj = reinterpret_cast<Object *>(Header);
+      Live(Obj);
+      Pos = Obj->end();
+    }
+    if (Pos < End)
+      Gap(Pos, End);
+    return Pos;
   }
 
   /// Live bytes found by the last completed sweep.

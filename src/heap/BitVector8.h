@@ -6,6 +6,20 @@
 /// paper (Section 2.1 and Section 5.2). Bit updates are atomic so that
 /// many tracer and mutator threads can mark concurrently.
 ///
+/// Range scans work a 64-bit word at a time. SetBitCursor enumerates
+/// the set bits of a range inline (one relaxed load per word, then
+/// countr_zero and clear-lowest per bit); forEachSetInRange, findNextSet
+/// and the sweep's walk are built on it. countInRange is one popcount
+/// per word.
+///
+/// retainRange is the sweep's word-wise allocation-bit clear: over a
+/// word-aligned range it computes this &= Keep, one word at a time, and
+/// leaves a guard window (the compactor's evacuation area) untouched.
+/// Words wholly outside the window are rewritten with a relaxed load and
+/// store, so the caller must be their only writer; a word cut by the
+/// window edge is edited with a masked fetch_and, because other threads
+/// may be setting bits inside the window concurrently.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CGC_HEAP_BITVECTOR8_H
@@ -14,6 +28,7 @@
 #include "heap/ObjectModel.h"
 
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -87,9 +102,77 @@ public:
   /// Number of set bits covering [From, To) (relaxed snapshot).
   size_t countInRange(const void *From, const void *To) const;
 
+  /// Clears every bit covering [From, To) whose bit in \p Keep is clear
+  /// (this &= Keep), a word at a time, except the bits inside the guard
+  /// window [GuardLo, GuardHi), which stay as they are (an empty or null
+  /// window guards nothing). \p From must start a bitmap word (a
+  /// multiple of 64 granules from the base) and \p To must end one or
+  /// be the end of the bitmap, so that every word touched lies wholly
+  /// inside the range. Words outside the window are rewritten with a
+  /// relaxed load and store: the caller must be their only writer. A
+  /// word the window cuts is edited with a masked fetch_and, so setters
+  /// of bits inside the window stay safe. Requires Keep's bits in the
+  /// range to be a subset of this vector's (asserted outside the window).
+  void retainRange(const BitVector8 &Keep, const void *From, const void *To,
+                   const void *GuardLo, const void *GuardHi);
+
+  /// Enumerates the set bits covering [From, To) in address order, a
+  /// 64-bit word at a time: each next() call costs a countr_zero and a
+  /// clear-lowest-bit, plus one relaxed load per word crossed. Words
+  /// are read as the cursor reaches them, so bits set or cleared ahead
+  /// of it are seen (or not) as a relaxed load would. It never reads a
+  /// word outside the range.
+  class SetBitCursor {
+  public:
+    SetBitCursor(const BitVector8 &BV, const void *From, const void *To)
+        : Words(BV.Words.get()), Base(BV.Base) {
+      const uint8_t *FromP = static_cast<const uint8_t *>(From);
+      const uint8_t *ToP = static_cast<const uint8_t *>(To);
+      if (FromP >= ToP)
+        return; // Word == LastWord, Bits == 0: exhausted.
+      size_t First = BV.granuleIndex(FromP);
+      size_t Last = BV.granuleIndex(ToP - GranuleBytes);
+      Word = First >> 6;
+      LastWord = Last >> 6;
+      // Bits at or below Last's position; 2 << 63 wraps to 0, so a
+      // range ending on a word boundary keeps the whole word.
+      LastMask = (2ull << (Last & 63)) - 1;
+      Bits = Words[Word].load(std::memory_order_relaxed) &
+             (~0ull << (First & 63));
+      if (Word == LastWord)
+        Bits &= LastMask;
+    }
+
+    /// The next set granule's address, or nullptr once the range is
+    /// exhausted (and on every later call).
+    uint8_t *next() {
+      while (Bits == 0) {
+        if (Word == LastWord)
+          return nullptr;
+        ++Word;
+        Bits = Words[Word].load(std::memory_order_relaxed);
+        if (Word == LastWord)
+          Bits &= LastMask;
+      }
+      size_t Index = (Word << 6) + static_cast<size_t>(std::countr_zero(Bits));
+      Bits &= Bits - 1;
+      return const_cast<uint8_t *>(Base) + Index * GranuleBytes;
+    }
+
+  private:
+    const std::atomic<uint64_t> *Words;
+    const uint8_t *Base;
+    size_t Word = 0;
+    size_t LastWord = 0;
+    uint64_t Bits = 0;
+    uint64_t LastMask = 0;
+  };
+
   /// Address of the first set bit at or after \p From and before \p To,
   /// or nullptr when none.
-  uint8_t *findNextSet(const void *From, const void *To) const;
+  uint8_t *findNextSet(const void *From, const void *To) const {
+    return SetBitCursor(*this, From, To).next();
+  }
 
   /// Address of the last set bit strictly before \p Before (and at or
   /// after the bitmap base), or nullptr when none. Used by the parallel
@@ -100,16 +183,10 @@ public:
   /// [From, To), in address order. \p Fn returns false to stop early.
   template <typename FnT>
   void forEachSetInRange(const void *From, const void *To, FnT Fn) const {
-    const uint8_t *Cur = static_cast<const uint8_t *>(From);
-    const uint8_t *End = static_cast<const uint8_t *>(To);
-    while (Cur < End) {
-      uint8_t *Next = findNextSet(Cur, End);
-      if (!Next)
-        return;
+    SetBitCursor Cursor(*this, From, To);
+    while (uint8_t *Next = Cursor.next())
       if (!Fn(Next))
         return;
-      Cur = Next + GranuleBytes;
-    }
   }
 
   /// The covered base address.

@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <utility>
 #include <vector>
 
 using namespace cgc;
@@ -38,8 +39,55 @@ TEST_P(BitmapPropertyTest, MatchesReferenceModel) {
   std::vector<bool> Model(NumGranules, false);
   Random Rng(GetParam());
 
+  BitVector8 Keep(Mem.get(), HeapBytes);
+  auto window = [&] {
+    size_t A = Rng.nextBelow(NumGranules + 1);
+    size_t B = Rng.nextBelow(NumGranules + 1);
+    return A > B ? std::pair{B, A} : std::pair{A, B};
+  };
+
   for (int Step = 0; Step < 20000; ++Step) {
-    switch (Rng.nextBelow(7)) {
+    switch (Rng.nextBelow(10)) {
+    case 7: { // forEachSetInRange: the model's set granules, in order
+      auto [A, B] = window();
+      std::vector<uint8_t *> Seen, Expect;
+      Bits.forEachSetInRange(addr(A), addr(B), [&](uint8_t *P) {
+        Seen.push_back(P);
+        return true;
+      });
+      for (size_t G = A; G < B; ++G)
+        if (Model[G])
+          Expect.push_back(addr(G));
+      EXPECT_EQ(Seen, Expect);
+      break;
+    }
+    case 8: { // countInRange
+      auto [A, B] = window();
+      size_t Expect = 0;
+      for (size_t G = A; G < B; ++G)
+        Expect += Model[G];
+      EXPECT_EQ(Bits.countInRange(addr(A), addr(B)), Expect);
+      break;
+    }
+    case 9: { // retainRange over whole words, Keep a random subset
+      size_t FirstWord = Rng.nextBelow(NumGranules / 64);
+      size_t EndWord =
+          FirstWord + 1 + Rng.nextBelow(NumGranules / 64 - FirstWord);
+      auto [GLo, GHi] = window();
+      Keep.clearAll();
+      std::vector<bool> Kept(NumGranules, false);
+      for (size_t G = FirstWord * 64; G < EndWord * 64; ++G)
+        if (Model[G] && Rng.nextBool(0.5)) {
+          Keep.set(addr(G));
+          Kept[G] = true;
+        }
+      Bits.retainRange(Keep, addr(FirstWord * 64), addr(EndWord * 64),
+                       addr(GLo), addr(GHi));
+      for (size_t G = FirstWord * 64; G < EndWord * 64; ++G)
+        if (G < GLo || G >= GHi)
+          Model[G] = Kept[G];
+      break;
+    }
     case 0: { // set
       size_t G = Rng.nextBelow(NumGranules);
       Bits.set(addr(G));

@@ -1,10 +1,12 @@
 //===- bitvector_test.cpp - mark/allocation bit vector units -------------------//
 
 #include "heap/BitVector8.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -155,6 +157,138 @@ TEST_F(BitVectorTest, ConcurrentTestAndSetExactlyOneWinner) {
   EXPECT_EQ(Total, static_cast<int>(NumGranules));
   for (size_t I = 0; I < NumGranules; ++I)
     EXPECT_TRUE(Bits->test(addr(I)));
+}
+
+/// The word-at-a-time range operations against bit-at-a-time answers
+/// (one test() per granule) for every range over a seeded pattern
+/// spanning four words plus a partial fifth.
+TEST_F(BitVectorTest, WordRangeOpsMatchBitAtATime) {
+  constexpr size_t Span = 300;
+  Random Rng(0xb17);
+  std::vector<bool> Pattern(Span);
+  for (size_t G = 0; G < Span; ++G)
+    Pattern[G] = Rng.nextBool(0.3);
+  auto load = [&] {
+    Bits->clearAll();
+    for (size_t G = 0; G < Span; ++G)
+      if (Pattern[G])
+        Bits->set(addr(G));
+  };
+  load();
+  for (size_t From = 0; From <= Span; ++From)
+    for (size_t To = From; To <= Span; To += 1 + (To % 7)) {
+      std::vector<uint8_t *> Expect;
+      for (size_t G = From; G < To; ++G)
+        if (Bits->test(addr(G)))
+          Expect.push_back(addr(G));
+      std::vector<uint8_t *> Seen;
+      Bits->forEachSetInRange(addr(From), addr(To), [&](uint8_t *P) {
+        Seen.push_back(P);
+        return true;
+      });
+      ASSERT_EQ(Seen, Expect) << "forEachSetInRange [" << From << ", " << To
+                              << ")";
+      ASSERT_EQ(Bits->countInRange(addr(From), addr(To)), Expect.size())
+          << "countInRange [" << From << ", " << To << ")";
+      ASSERT_EQ(Bits->findNextSet(addr(From), addr(To)),
+                Expect.empty() ? nullptr : Expect.front());
+    }
+  for (size_t From = 0; From <= Span; From += 3)
+    for (size_t To = From; To <= Span; To += 1 + (To % 5)) {
+      load();
+      Bits->clearRange(addr(From), addr(To));
+      for (size_t G = 0; G < Span; ++G)
+        ASSERT_EQ(Bits->test(addr(G)), Pattern[G] && (G < From || G >= To))
+            << "clearRange [" << From << ", " << To << ") granule " << G;
+    }
+}
+
+TEST_F(BitVectorTest, CursorEnumeratesAndStaysExhausted) {
+  Bits->set(addr(0));
+  Bits->set(addr(63));
+  Bits->set(addr(64));
+  Bits->set(addr(HeapBytes / GranuleBytes - 1)); // The bitmap's last bit.
+  BitVector8::SetBitCursor Cursor(*Bits, addr(0), Mem.get() + HeapBytes);
+  EXPECT_EQ(Cursor.next(), addr(0));
+  EXPECT_EQ(Cursor.next(), addr(63));
+  EXPECT_EQ(Cursor.next(), addr(64));
+  EXPECT_EQ(Cursor.next(), addr(HeapBytes / GranuleBytes - 1));
+  EXPECT_EQ(Cursor.next(), nullptr);
+  EXPECT_EQ(Cursor.next(), nullptr);
+  BitVector8::SetBitCursor Empty(*Bits, addr(64), addr(64));
+  EXPECT_EQ(Empty.next(), nullptr);
+  // A range ending on a word boundary excludes the next word's bit 0.
+  BitVector8::SetBitCursor OneWord(*Bits, addr(1), addr(64));
+  EXPECT_EQ(OneWord.next(), addr(63));
+  EXPECT_EQ(OneWord.next(), nullptr);
+}
+
+/// retainRange against a per-granule model: outside the guard window a
+/// bit survives only if Keep has it; inside, every bit is untouched.
+TEST_F(BitVectorTest, RetainRangeMatchesModelAroundGuardWindow) {
+  BitVector8 Keep(Mem.get(), HeapBytes);
+  constexpr size_t Words = 6, Span = 64 * Words;
+  Random Rng(0x7e7a1);
+  struct Window {
+    size_t Lo, Hi;
+  };
+  const Window Windows[] = {{0, 0},     {70, 250},  {64, 128}, {100, 110},
+                            {0, 5},     {380, 384}, {0, Span}, {63, 65},
+                            {200, 900}};
+  for (const Window &W : Windows)
+    for (int Rep = 0; Rep < 20; ++Rep) {
+      Bits->clearAll();
+      Keep.clearAll();
+      std::vector<bool> Mine(Span), Kept(Span);
+      for (size_t G = 0; G < Span; ++G) {
+        Mine[G] = Rng.nextBool(0.5);
+        Kept[G] = Mine[G] && Rng.nextBool(0.5); // Keep is a subset.
+        if (Mine[G])
+          Bits->set(addr(G));
+        if (Kept[G])
+          Keep.set(addr(G));
+      }
+      // The range is words 1..4; words 0 and 5 are outside it.
+      Bits->retainRange(Keep, addr(64), addr(Span - 64), addr(W.Lo),
+                        addr(W.Hi));
+      for (size_t G = 0; G < Span; ++G) {
+        bool Inside = G >= 64 && G < Span - 64 && !(G >= W.Lo && G < W.Hi);
+        ASSERT_EQ(Bits->test(addr(G)), Inside ? Kept[G] : Mine[G])
+            << "window [" << W.Lo << ", " << W.Hi << ") granule " << G;
+      }
+    }
+  // A range reaching the bitmap's end.
+  Bits->clearAll();
+  Keep.clearAll();
+  size_t Last = HeapBytes / GranuleBytes - 1;
+  Bits->set(addr(Last));
+  Bits->set(addr(Last - 1));
+  Keep.set(addr(Last - 1));
+  Bits->retainRange(Keep, addr(Last - 63), Mem.get() + HeapBytes, nullptr,
+                    nullptr);
+  EXPECT_FALSE(Bits->test(addr(Last)));
+  EXPECT_TRUE(Bits->test(addr(Last - 1)));
+}
+
+TEST_F(BitVectorTest, RetainRangeEdgeWordKeepsConcurrentWindowSets) {
+  // A setter fills the guard window's part of a word the window cuts
+  // while retainRange runs over that word again and again: the masked
+  // edge edit must never drop one of its bits.
+  BitVector8 Keep(Mem.get(), HeapBytes);
+  constexpr size_t WinLo = 64 + 40, WinHi = 128 + 24;
+  std::atomic<bool> Done{false};
+  std::thread Setter([&] {
+    for (int Round = 0; Round < 200; ++Round)
+      for (size_t G = WinLo; G < WinHi; ++G)
+        Bits->set(addr(G));
+    Done.store(true, std::memory_order_release);
+  });
+  while (!Done.load(std::memory_order_acquire))
+    Bits->retainRange(Keep, addr(64), addr(192), addr(WinLo), addr(WinHi));
+  Setter.join();
+  for (size_t G = WinLo; G < WinHi; ++G)
+    EXPECT_TRUE(Bits->test(addr(G))) << G;
+  EXPECT_EQ(Bits->countInRange(addr(0), addr(256)), WinHi - WinLo);
 }
 
 /// Property sweep: clearRange leaves exactly the complement set, for a

@@ -1,11 +1,14 @@
 //===- lazy_sweep_test.cpp - lazy sweep option end-to-end ----------------------//
 
+#include "gc/Sweeper.h"
 #include "runtime/GcHeap.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
+#include <vector>
 
 using namespace cgc;
 
@@ -106,6 +109,90 @@ TEST(LazySweepBackgroundTest, BackgroundThreadsSweepWhileMutatorIdles) {
       << "background threads never finished the lazy sweep";
   EXPECT_GT(Heap->freeBytes(), 0u);
   Heap->detachThread(Ctx);
+}
+
+/// A mutator allocates from an already-swept chunk's ranges and from
+/// the compactor's published exclusion-window range while another thread
+/// lazily sweeps the chunks around them, including the two whose words
+/// the window's unaligned ends cut. The sweep's word-wise allocation-bit
+/// clear must not lose one of the mutator's bits.
+TEST(LazySweepConcurrencyTest, MutatorAllocationBitsSurviveChunkSweeps) {
+  constexpr size_t Chunk = Sweeper::ChunkBytes;
+  HeapSpace Heap(6 * Chunk, /*FreeListShards=*/2);
+  uint8_t *Base = Heap.base();
+  // Window ends cut bitmap words: 27 and 45 granules into their words.
+  uint8_t *XLo = Base + 2 * Chunk + Chunk / 2 + 27 * GranuleBytes;
+  uint8_t *XHi = Base + 3 * Chunk + (40 * 64 + 45) * GranuleBytes;
+  // Dead and live objects everywhere outside the window.
+  Random Rng(0x1a2e);
+  for (size_t Offset = 0;;) {
+    Offset += GranuleBytes * Rng.nextBelow(16);
+    size_t Bytes = GranuleBytes * Rng.nextInRange(2, 32);
+    if (Offset + Bytes > Heap.sizeBytes())
+      break;
+    uint8_t *At = Base + Offset;
+    if (At + Bytes > XLo && At < XHi) {
+      Offset = static_cast<size_t>(XHi - Base);
+      continue;
+    }
+    reinterpret_cast<Object *>(At)->initialize(static_cast<uint32_t>(Bytes),
+                                               0, 0);
+    Heap.allocBits().set(At);
+    if (Rng.nextBool(0.5))
+      Heap.markBits().set(At);
+    Offset += Bytes;
+  }
+
+  Sweeper Sweep(Heap);
+  Sweep.setEvacuationExclusion(XLo, XHi);
+  Sweep.armLazySweep();
+  ASSERT_GT(Sweep.sweepUntilFree(1), 0u); // Claims chunk 0 only.
+  ASSERT_FALSE(Sweep.sweepPendingAt(Base));
+  ASSERT_TRUE(Sweep.sweepPendingAt(Base + Chunk));
+  // The mutator takes chunk 0's ranges and the window (as the
+  // compactor's rebuild would publish it) as its own allocation ranges.
+  std::vector<FreeRange> Ranges = Heap.freeList().snapshotRanges();
+  Heap.freeList().clear();
+  Ranges.emplace_back(XLo, static_cast<size_t>(XHi - XLo));
+
+  std::vector<uint8_t *> Allocated;
+  auto allocateIn = [&](uint8_t *From, uint8_t *To) {
+    for (uint8_t *P = From; P + 16 <= To; P += 16) {
+      reinterpret_cast<Object *>(P)->initialize(16, 0, 0);
+      Heap.allocBits().setRelease(P);
+      Allocated.push_back(P);
+    }
+  };
+  // The window's two cut words first, half of each, before the sweep
+  // reaches them: a clear of the whole word would drop these for sure.
+  uint8_t *LoWordEnd = XLo + (64 - 27) * GranuleBytes;
+  uint8_t *HiWordStart = XHi - 45 * GranuleBytes;
+  allocateIn(XLo, XLo + 16 * GranuleBytes);
+  allocateIn(HiWordStart, HiWordStart + 22 * GranuleBytes);
+
+  std::thread Sweeping([&] {
+    while (Sweep.lazySweepPending())
+      Sweep.sweepUntilFree(64u << 10);
+  });
+  // The rest of each cut word, then everything else, while the other
+  // thread sweeps.
+  allocateIn(XLo + 16 * GranuleBytes, LoWordEnd);
+  allocateIn(HiWordStart + 22 * GranuleBytes, XHi);
+  allocateIn(LoWordEnd, HiWordStart);
+  for (size_t I = 0; I + 1 < Ranges.size(); ++I)
+    allocateIn(Ranges[I].first, Ranges[I].first + Ranges[I].second);
+  Sweeping.join();
+  Sweep.finishLazySweep();
+
+  size_t Lost = 0;
+  for (uint8_t *P : Allocated)
+    Lost += !Heap.allocBits().test(P);
+  EXPECT_EQ(Lost, 0u) << "of " << Allocated.size() << " allocation bits";
+  // The window holds the mutator's bits and nothing else.
+  size_t InWindow = 0;
+  for (uint8_t *P : Allocated)
+    InWindow += P >= XLo && P < XHi;
+  EXPECT_EQ(Heap.allocBits().countInRange(XLo, XHi), InWindow);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothCollectors, LazySweepTest,

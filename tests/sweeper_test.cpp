@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 using namespace cgc;
 
 namespace {
@@ -314,5 +320,284 @@ TEST_P(ShardedSweeperTest, RoutedParallelSweepMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedSweeperTest,
                          ::testing::Values(1u, 2u, 8u));
+
+// --- Exactness against a reference header walk ----------------------------
+//
+// The sweep walks the mark words inline, prefetches headers through a
+// ring and clears dead allocation bits word-wise. Its output must be
+// exactly that of the plain header walk it replaced: the same free
+// ranges, byte counts and allocation bitmap.
+
+/// A heap whose size is not a multiple of the chunk size: the last
+/// chunk is partial.
+constexpr size_t OracleHeapBytes = 4 * Sweeper::ChunkBytes + (300u << 10);
+
+struct PlantedObject {
+  size_t Offset;
+  uint32_t Bytes;
+  bool Marked;
+};
+
+enum class HeapLayout { Scattered, Warehouse };
+
+/// A seeded object layout. Scattered: 16-512 B objects with random
+/// gaps (adjacent ones, sub-64 B crumbs, wide holes), half of them live.
+/// Warehouse: runs of adjacent 72/80/88 B objects, live or dead as a
+/// run, with a few dead objects inside live runs. In both, a live
+/// object ends exactly at the end of every odd chunk and a live 4 KB
+/// object straddles into every even chunk; objects that happen to cross
+/// other boundaries (live or dead) stay as drawn.
+std::vector<PlantedObject> makeLayout(HeapLayout Layout, uint64_t Seed) {
+  Random Rng(Seed);
+  std::vector<PlantedObject> Out;
+  size_t Offset = 0;
+  size_t RunLeft = 0;
+  bool RunLive = false;
+  for (;;) {
+    size_t Gap;
+    uint32_t Bytes;
+    bool Marked;
+    if (Layout == HeapLayout::Scattered) {
+      Gap = GranuleBytes * Rng.nextBelow(Rng.nextBool(0.2) ? 600 : 9);
+      Bytes = static_cast<uint32_t>(GranuleBytes * Rng.nextInRange(2, 64));
+      Marked = Rng.nextBool(0.5);
+    } else {
+      Gap = 0;
+      if (RunLeft == 0) {
+        RunLeft = Rng.nextInRange(3, 12);
+        RunLive = Rng.nextBool(0.6);
+        Gap = GranuleBytes * Rng.nextBelow(Rng.nextBool(0.5) ? 1 : 40);
+      }
+      --RunLeft;
+      Bytes = static_cast<uint32_t>(72 + 8 * Rng.nextBelow(3));
+      Marked = RunLive && !Rng.nextBool(0.1);
+    }
+    // The first chunk boundary after the previous object's end; the gap
+    // may jump past it, and the rules below pull the object back.
+    size_t PrevEnd = Offset;
+    size_t Boundary = (PrevEnd / Sweeper::ChunkBytes + 1) * Sweeper::ChunkBytes;
+    Offset += Gap;
+    bool Odd = (Boundary / Sweeper::ChunkBytes) % 2 == 1;
+    if (Boundary < OracleHeapBytes && Odd &&
+        Offset + Bytes + Object::MinObjectBytes > Boundary) {
+      // Ends exactly at ChunkEnd. The previous object, under this same
+      // rule, ended at least MinObjectBytes before the boundary.
+      Offset = std::min(Offset, Boundary - Object::MinObjectBytes);
+      Bytes = static_cast<uint32_t>(Boundary - Offset);
+      Marked = true;
+    } else if (Boundary < OracleHeapBytes && !Odd &&
+               Offset + Bytes > Boundary) {
+      Offset = std::max(PrevEnd, Boundary - 64); // The chunk straddler.
+      Bytes = 4096;
+      Marked = true;
+    }
+    if (Offset + Bytes > OracleHeapBytes)
+      break;
+    Out.push_back({Offset, Bytes, Marked});
+    Offset += Bytes;
+  }
+  return Out;
+}
+
+void plantLayout(HeapSpace &Heap, const std::vector<PlantedObject> &Layout) {
+  for (const PlantedObject &P : Layout) {
+    Object *Obj = reinterpret_cast<Object *>(Heap.base() + P.Offset);
+    Obj->initialize(P.Bytes, 0, 0);
+    Heap.allocBits().set(Obj);
+    if (P.Marked)
+      Heap.markBits().set(Obj);
+  }
+}
+
+/// The reference: the header walk the word-wise sweep replaced, one
+/// granule at a time through test() and clear(). Chunk by chunk in
+/// address order, each chunk's ranges (window-clipped, 64 B crumbs
+/// dropped) published in one releaseRanges call. Returns {live, freed}.
+std::pair<uint64_t, uint64_t> referenceSweep(HeapSpace &Heap, size_t XLo,
+                                             size_t XHi) {
+  Heap.freeList().clear();
+  const BitVector8 &Marks = Heap.markBits();
+  uint64_t Live = 0, Freed = 0;
+  std::vector<FreeRange> Batch;
+  auto reclaimRaw = [&](size_t From, size_t To) {
+    if (From >= To)
+      return;
+    for (size_t G = From; G < To; G += GranuleBytes)
+      Heap.allocBits().clear(Heap.base() + G);
+    if (To - From >= 64) {
+      Batch.emplace_back(Heap.base() + From, To - From);
+      Freed += To - From;
+    }
+  };
+  auto reclaim = [&](size_t From, size_t To) {
+    if (XLo < XHi && From < XHi && To > XLo) {
+      reclaimRaw(From, std::max(From, XLo));
+      reclaimRaw(std::min(To, XHi), To);
+      return;
+    }
+    reclaimRaw(From, To);
+  };
+  auto endOf = [&](size_t Off) {
+    return Off + reinterpret_cast<Object *>(Heap.base() + Off)->sizeBytes();
+  };
+  for (size_t Start = 0; Start < Heap.sizeBytes();
+       Start += Sweeper::ChunkBytes) {
+    size_t End = std::min(Start + Sweeper::ChunkBytes, Heap.sizeBytes());
+    size_t Pos = Start;
+    for (size_t G = Start; G > 0;) {
+      G -= GranuleBytes;
+      if (Marks.test(Heap.base() + G)) {
+        Pos = std::max(Pos, endOf(G));
+        break;
+      }
+    }
+    Batch.clear();
+    while (Pos < End) {
+      size_t Next = Pos;
+      while (Next < End && !Marks.test(Heap.base() + Next))
+        Next += GranuleBytes;
+      reclaim(Pos, Next);
+      if (Next == End)
+        break;
+      Live += reinterpret_cast<Object *>(Heap.base() + Next)->sizeBytes();
+      Pos = endOf(Next);
+    }
+    if (!Batch.empty())
+      Heap.releaseRanges(Batch);
+  }
+  return {Live, Freed};
+}
+
+/// What a sweep leaves behind, in heap offsets so two heaps compare.
+struct SweepOutcome {
+  uint64_t Live = 0;
+  uint64_t Freed = 0;
+  std::vector<std::pair<size_t, size_t>> Ranges;
+  size_t Refillable = 0;
+  size_t Queued = 0;
+  std::vector<bool> AllocBits;
+};
+
+SweepOutcome captureOutcome(const HeapSpace &Heap, uint64_t Live,
+                            uint64_t Freed) {
+  SweepOutcome Out;
+  Out.Live = Live;
+  Out.Freed = Freed;
+  for (auto [Start, Size] : Heap.freeList().snapshotRanges())
+    Out.Ranges.emplace_back(static_cast<size_t>(Start - Heap.base()), Size);
+  Out.Refillable = Heap.freeList().refillableFreeBytes();
+  Out.Queued = Heap.remoteQueuedBytes();
+  Out.AllocBits.resize(Heap.sizeBytes() / GranuleBytes);
+  for (size_t G = 0; G < Out.AllocBits.size(); ++G)
+    Out.AllocBits[G] = Heap.allocBits().test(Heap.base() + G * GranuleBytes);
+  return Out;
+}
+
+enum class SweepMode { Serial, ThreeParticipants, Lazy };
+
+const char *modeName(SweepMode Mode) {
+  switch (Mode) {
+  case SweepMode::Serial:
+    return "Serial";
+  case SweepMode::ThreeParticipants:
+    return "ThreeParticipants";
+  case SweepMode::Lazy:
+    return "Lazy";
+  }
+  return "?";
+}
+
+class SweepExactnessTest
+    : public ::testing::TestWithParam<std::tuple<unsigned, SweepMode>> {};
+
+TEST_P(SweepExactnessTest, MatchesReferenceHeaderWalk) {
+  auto [Shards, Mode] = GetParam();
+  // Exclusion windows in heap offsets: none; one whose ends are not
+  // word aligned and that crosses the chunk 1/2 boundary; one inside
+  // chunk 3 cutting words at both ends.
+  const std::pair<size_t, size_t> Windows[] = {
+      {0, 0},
+      {Sweeper::ChunkBytes + GranuleBytes * 4097,
+       2 * Sweeper::ChunkBytes + GranuleBytes * 1013},
+      {3 * Sweeper::ChunkBytes + GranuleBytes * 77,
+       3 * Sweeper::ChunkBytes + GranuleBytes * (77 + 64 * 10 + 5)}};
+  for (HeapLayout Layout : {HeapLayout::Scattered, HeapLayout::Warehouse})
+    for (auto [XLo, XHi] : Windows) {
+      SCOPED_TRACE(::testing::Message()
+                   << "layout " << static_cast<int>(Layout) << " window ["
+                   << XLo << ", " << XHi << ")");
+      std::vector<PlantedObject> Planted =
+          makeLayout(Layout, 0x0c1e + static_cast<uint64_t>(Layout));
+      size_t LiveObjects = 0;
+      bool EndsAtChunkEnd = false;
+      for (const PlantedObject &P : Planted) {
+        LiveObjects += P.Marked;
+        EndsAtChunkEnd |= P.Marked && (P.Offset + P.Bytes) %
+                                              Sweeper::ChunkBytes == 0;
+      }
+      ASSERT_GT(LiveObjects, 2000u);
+      ASSERT_TRUE(EndsAtChunkEnd);
+
+      // Remote-free routing on the two-shard heaps.
+      bool Route = Shards == 2;
+      HeapSpace Expected(OracleHeapBytes, Shards, nullptr,
+                         /*RefillThresholdBytes=*/512, Route);
+      HeapSpace Actual(OracleHeapBytes, Shards, nullptr,
+                       /*RefillThresholdBytes=*/512, Route);
+      ASSERT_EQ(Actual.sizeBytes() % Sweeper::ChunkBytes, 300u << 10);
+      plantLayout(Expected, Planted);
+      plantLayout(Actual, Planted);
+
+      auto [RefLive, RefFreed] = referenceSweep(Expected, XLo, XHi);
+      // Freed compares the heaps' free bytes: a shard split may drop a
+      // sliver of a published range. The lazy sweep's own count is
+      // compared with the reference's published bytes below.
+      SweepOutcome Want =
+          captureOutcome(Expected, RefLive, Expected.freeBytes());
+
+      Sweeper Sweep(Actual);
+      if (XLo < XHi)
+        Sweep.setEvacuationExclusion(Actual.base() + XLo, Actual.base() + XHi);
+      uint64_t Live = 0;
+      if (Mode == SweepMode::Lazy) {
+        Sweep.armLazySweep();
+        uint64_t Freed = 0;
+        while (Sweep.lazySweepPending())
+          Freed += Sweep.sweepUntilFree(64u << 10);
+        Sweep.finishLazySweep();
+        Live = Sweep.liveBytes();
+        EXPECT_EQ(Freed, RefFreed);
+      } else if (Mode == SweepMode::ThreeParticipants) {
+        WorkerPool Workers(2);
+        Live = Sweep.sweepAll(&Workers);
+      } else {
+        Live = Sweep.sweepAll(nullptr);
+      }
+      SweepOutcome Got = captureOutcome(Actual, Live, Actual.freeBytes());
+      EXPECT_EQ(Got.Live, Want.Live);
+      EXPECT_EQ(Got.Freed, Want.Freed);
+      EXPECT_EQ(Got.Ranges, Want.Ranges);
+      EXPECT_EQ(Got.Refillable, Want.Refillable);
+      EXPECT_EQ(Got.Queued, Want.Queued);
+      size_t BitDiffs = 0, FirstDiff = 0;
+      for (size_t G = Got.AllocBits.size(); G-- > 0;)
+        if (Got.AllocBits[G] != Want.AllocBits[G]) {
+          ++BitDiffs;
+          FirstDiff = G;
+        }
+      EXPECT_EQ(BitDiffs, 0u) << "first differing granule " << FirstDiff;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsAndModes, SweepExactnessTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 8u),
+                       ::testing::Values(SweepMode::Serial,
+                                         SweepMode::ThreeParticipants,
+                                         SweepMode::Lazy)),
+    [](const auto &Info) {
+      return "Shards" + std::to_string(std::get<0>(Info.param)) +
+             modeName(std::get<1>(Info.param));
+    });
 
 } // namespace
