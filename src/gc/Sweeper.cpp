@@ -61,10 +61,8 @@ Sweeper::ChunkResult Sweeper::sweepChunk(size_t Index,
     if (From >= To)
       return;
     size_t Size = static_cast<size_t>(To - From);
-    if (Size >= MinFreeRangeBytes) {
+    if (Size >= MinFreeRangeBytes)
       Batch.emplace_back(From, Size);
-      Result.FreedBytes += Size;
-    }
   };
   // The compactor's armed area is excluded for the whole generation:
   // its bits and free ranges are rebuilt by the evacuation itself, and
@@ -97,8 +95,9 @@ Sweeper::ChunkResult Sweeper::sweepChunk(size_t Index,
   // One publication per chunk, routed to the shards owning the
   // addresses: small runs go to their lock-free remote-free queues when
   // the fast path is on, the rest to each shard's list under one lock.
+  // Freed counts what was published: a shard split may drop a sliver.
   if (!Batch.empty())
-    Heap.releaseRanges(Batch);
+    Result.FreedBytes = Heap.releaseRanges(Batch);
   return Result;
 }
 

@@ -95,8 +95,9 @@ public:
   }
 
   /// Lazy-sweeps chunks until at least \p FreeBytesWanted have been
-  /// reclaimed by this call or the heap is fully swept. Returns bytes
-  /// reclaimed by this call.
+  /// reclaimed by this call or the heap is fully swept. Returns the
+  /// bytes this call published to the free-space manager (exactly what
+  /// HeapSpace::freeBytes() grew by).
   uint64_t sweepUntilFree(size_t FreeBytesWanted);
 
   /// Sweeps all remaining chunks (forced completion before a new cycle).
@@ -188,7 +189,7 @@ public:
 private:
   /// Sweeps chunk \p Index and publishes its free ranges in one batch,
   /// collected in \p Batch (the caller's reused buffer); returns
-  /// {freed bytes, live bytes}.
+  /// {bytes published, live bytes}.
   struct ChunkResult {
     uint64_t FreedBytes = 0;
     uint64_t LiveBytes = 0;

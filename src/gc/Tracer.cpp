@@ -6,6 +6,7 @@
 #include "observe/Observe.h"
 #include "support/Fences.h"
 
+#include <algorithm>
 #include <bitset>
 #include <cstdio>
 #include <cassert>
@@ -96,6 +97,17 @@ size_t Tracer::traceWork(TraceContext &Ctx, size_t BudgetBytes,
         Safe[I] = Heap.allocBits().testAcquire(In->peek(I));
       fence(FenceSite::TracerBatch);
     }
+    // Prefetch each entry PrefetchDistance pops before it is scanned:
+    // prime the batch's top entries here, then one more per pop below.
+    // Deferred entries are never touched, not even by a prefetch. The
+    // prefetches stop with the batch (In stays the input until then).
+    auto prefetch = [&](uint32_t I) {
+      Object *Ahead = In->peek(I); // peek range-checks I before Safe[I].
+      if (!CheckAllocBits || Safe[I])
+        __builtin_prefetch(Ahead);
+    };
+    for (uint32_t I = N; I > N - std::min(N, PrefetchDistance);)
+      prefetch(--I);
     // Consume this batch (budget permitting). scanObject can trigger the
     // swap exception, which changes which packet is the input; the
     // classification is only valid for the packet it was taken on, so
@@ -104,6 +116,8 @@ size_t Tracer::traceWork(TraceContext &Ctx, size_t BudgetBytes,
            Done < BudgetBytes) {
       uint32_t Index = In->count() - 1;
       Object *Obj = In->pop();
+      if (Index >= PrefetchDistance)
+        prefetch(Index - PrefetchDistance);
 #ifndef NDEBUG
       // With the world stopped every cache is flushed: a queued object
       // without its allocation bit is a stale corpse (missed live

@@ -20,6 +20,16 @@
 /// published once per traceWork call, so cycleTracedBytes() lags the
 /// true total by at most each participant's in-flight call.
 ///
+/// Header misses are hidden by prefetching: a batch's entries are the
+/// next objects this participant scans, so traceWork prefetches each one
+/// PrefetchDistance pops before it is popped (the top PrefetchDistance
+/// entries when the batch starts, then one per pop). Under the 5.2
+/// protocol only entries classified safe are prefetched; deferred ones
+/// are never touched. A swap exception ends the batch, and with it the
+/// prefetching over that packet. Every tracing participant (mutator
+/// increments, background quanta, the final drain, card-cleaning
+/// retrace) runs this one loop.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CGC_GC_TRACER_H
@@ -42,6 +52,11 @@ class ThreadRegistry;
 /// Parallel marker over a HeapSpace using a PacketPool.
 class Tracer {
 public:
+  /// How many pops ahead traceWork prefetches a packet entry's header
+  /// (DESIGN.md §4; chosen by measurement on BM_ParallelMark and the
+  /// warehouse benchmark).
+  static constexpr uint32_t PrefetchDistance = 8;
+
   /// \p FI (optional) arms the tracer-step injection site: an injected
   /// hit ends a tracing increment early (under-filling its budget), the
   /// way a mutator outrunning the tracer looks to the pacer. \p Obs

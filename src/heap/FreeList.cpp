@@ -23,8 +23,8 @@ void FreeList::eraseLargeLocked(std::map<uint8_t *, size_t>::iterator It) {
   Large.erase(It);
 }
 
-void FreeList::addRanges(std::span<const FreeRange> Ranges, uint8_t *ClipLo,
-                         uint8_t *ClipHi) {
+size_t FreeList::addRanges(std::span<const FreeRange> Ranges,
+                           uint8_t *ClipLo, uint8_t *ClipHi) {
   auto clip = [ClipLo, ClipHi](FreeRange R) -> FreeRange {
     uint8_t *Start = R.first, *End = R.first + R.second;
     if (ClipLo && Start < ClipLo)
@@ -40,7 +40,7 @@ void FreeList::addRanges(std::span<const FreeRange> Ranges, uint8_t *ClipLo,
     if (size_t Size = clip(R).second; Size >= BinGranuleBytes)
       Added += Size;
   if (Added == 0)
-    return;
+    return 0;
 
   SpinLockGuard Guard(Lock);
   LockAcquisitions.fetch_add(1, std::memory_order_relaxed);
@@ -92,6 +92,7 @@ void FreeList::addRanges(std::span<const FreeRange> Ranges, uint8_t *ClipLo,
   if (Tracked != Untracked)
     RefillableByteCount.fetch_add(Tracked - Untracked,
                                   std::memory_order_relaxed);
+  return Added;
 }
 
 uint8_t *FreeList::takeLocked(uint8_t *Start, size_t RangeSize,

@@ -95,9 +95,10 @@ public:
   /// span; (nullptr, nullptr) clips nothing). Pieces below
   /// BinGranuleBytes are dropped, and a batch of nothing else takes no
   /// lock. Large ranges merge with adjacent large ranges; small ranges
-  /// are binned unmerged.
-  void addRanges(std::span<const FreeRange> Ranges, uint8_t *ClipLo = nullptr,
-                 uint8_t *ClipHi = nullptr);
+  /// are binned unmerged. Returns the bytes added to the list (clipped,
+  /// dropped pieces excluded).
+  size_t addRanges(std::span<const FreeRange> Ranges,
+                   uint8_t *ClipLo = nullptr, uint8_t *ClipHi = nullptr);
 
   /// Inserts [Start, Start + Size): the one-range case of addRanges.
   void addRange(uint8_t *Start, size_t Size) {

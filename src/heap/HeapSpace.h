@@ -130,16 +130,20 @@ public:
   /// ShardedFreeList::addRanges, one lock acquisition per shard touched.
   /// Sweep publishes each swept chunk's ranges this way and compaction
   /// its rebuilt area. \p Ranges is scratch: routing compacts it in
-  /// place, so its contents are unspecified afterwards.
-  void releaseRanges(std::span<FreeRange> Ranges) {
-    size_t Kept = Ranges.size();
+  /// place, so its contents are unspecified afterwards. Returns the
+  /// bytes published (queued or listed), which freeBytes() grows by.
+  size_t releaseRanges(std::span<FreeRange> Ranges) {
+    size_t Kept = Ranges.size(), Queued = 0;
     if (RouteRemoteFreesV) {
       Kept = 0;
-      for (FreeRange Range : Ranges)
-        if (!routeToRemoteQueue(Range))
+      for (FreeRange Range : Ranges) {
+        if (routeToRemoteQueue(Range))
+          Queued += Range.second;
+        else
           Ranges[Kept++] = Range;
+      }
     }
-    FreeListV.addRanges(Ranges.first(Kept));
+    return Queued + FreeListV.addRanges(Ranges.first(Kept));
   }
 
   /// Returns [Start, Start + Size): the one-range case of releaseRanges.

@@ -39,11 +39,12 @@ ShardedFreeList::ShardedFreeList(uint8_t *Base, size_t SizeBytes,
     Shards.push_back(std::make_unique<FreeList>(RefillThresholdBytes));
 }
 
-void ShardedFreeList::addRanges(std::span<const FreeRange> Ranges) {
+size_t ShardedFreeList::addRanges(std::span<const FreeRange> Ranges) {
   // The batch is address ordered, so each shard's share is a contiguous
   // run of it; only a run's last range can cross into the next shard,
   // and it then also opens that shard's run. The shard clips every
   // range to its own span.
+  size_t Added = 0;
   size_t I = 0;
   size_t Shard = Ranges.empty() ? 0 : shardIndexFor(Ranges[0].first);
   while (I < Ranges.size()) {
@@ -54,8 +55,8 @@ void ShardedFreeList::addRanges(std::span<const FreeRange> Ranges) {
              "batch not address ordered");
       ++J;
     }
-    Shards[Shard]->addRanges(Ranges.subspan(I, J - I), shardBegin(Shard),
-                             End);
+    Added += Shards[Shard]->addRanges(Ranges.subspan(I, J - I),
+                                      shardBegin(Shard), End);
     auto [LastStart, LastSize] = Ranges[J - 1];
     if (LastStart + LastSize > End && Shard + 1 < Shards.size()) {
       I = J - 1; // The straddler continues in the next shard.
@@ -66,6 +67,7 @@ void ShardedFreeList::addRanges(std::span<const FreeRange> Ranges) {
     if (I < Ranges.size())
       Shard = shardIndexFor(Ranges[I].first);
   }
+  return Added;
 }
 
 uint8_t *ShardedFreeList::allocate(size_t Bytes, size_t PreferredShard) {

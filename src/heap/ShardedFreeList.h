@@ -90,8 +90,10 @@ public:
   /// at shard boundaries so each piece lands in the shard owning its
   /// addresses. Each shard the batch touches takes its lock once for
   /// its whole share (FreeList::addRanges), so a swept chunk costs one
-  /// acquisition per shard it covers, not one per range.
-  void addRanges(std::span<const FreeRange> Ranges);
+  /// acquisition per shard it covers, not one per range. Returns the
+  /// bytes the shards added: a piece under BinGranuleBytes that a split
+  /// leaves is dropped and not counted.
+  size_t addRanges(std::span<const FreeRange> Ranges);
 
   /// Inserts [Start, Start + Size): the one-range case of addRanges.
   void addRange(uint8_t *Start, size_t Size) {

@@ -2,6 +2,7 @@
 
 #include "gc/Tracer.h"
 
+#include "gc/HeapVerifier.h"
 #include "gc/WorkerPool.h"
 #include "mutator/ThreadRegistry.h"
 #include "support/Fences.h"
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 using namespace cgc;
@@ -348,5 +350,190 @@ TEST_F(TracerTest, AddTracedBytesFeedsTheFormulaT) {
   Trace.addTracedBytes(4096);
   EXPECT_EQ(Trace.cycleTracedBytes(), 4096u);
 }
+
+/// Drains \p P to empty with \p T on \p Participants threads (the
+/// caller plus Participants - 1 workers), 64 KB per traceWork call as
+/// background quanta trace. Returns the sum of what the calls returned.
+uint64_t drainPool(Tracer &T, PacketPool &P, unsigned Participants,
+                   bool CheckAllocBits) {
+  WorkerPool Workers(Participants - 1);
+  std::atomic<uint64_t> Returned{0};
+  Workers.runParallel([&](unsigned) {
+    TraceContext PCtx(P);
+    for (;;) {
+      size_t Step = T.traceWork(PCtx, 64u << 10, CheckAllocBits,
+                                /*AbortOnStopRequest=*/false);
+      Returned.fetch_add(Step, std::memory_order_relaxed);
+      if (Step != 0)
+        continue;
+      PCtx.release();
+      // Deferred packets do not circulate until the caller redistributes
+      // them, so they count as idle here.
+      PacketPoolOccupancy O = P.occupancy();
+      if (O.Empty + O.Deferred == P.numPackets())
+        return;
+      std::this_thread::yield();
+    }
+  });
+  return Returned.load(std::memory_order_relaxed);
+}
+
+/// The prefetching drain over input packets of 1, D - 1, D, D + 1 and
+/// Capacity entries (D = Tracer::PrefetchDistance), serially and with
+/// three participants. Every fifth root and every eleventh interior
+/// object is unpublished, so the top entries of a batch mix safe and
+/// deferred objects; the deferred ones are traced after the "cache
+/// flush" in a final drain without the allocation-bit check.
+class PrefetchDrainTest
+    : public TracerTest,
+      public ::testing::WithParamInterface<std::tuple<uint32_t, unsigned>> {};
+
+TEST_P(PrefetchDrainTest, MarksExactlyTheReachableSet) {
+  auto [PacketEntries, Participants] = GetParam();
+  constexpr size_t NumPackets = 3, NumInterior = 4000;
+  const size_t NumRoots = NumPackets * PacketEntries;
+  Random Rng(PacketEntries * 31 + Participants);
+  std::vector<Object *> Interior, RootObjs, Unpublished;
+  size_t Offset = 0;
+  auto place = [&](bool Publish, uint16_t NumRefs) {
+    Object *Obj = Publish ? plant(Offset, NumRefs)
+                          : plantUnpublished(Offset, NumRefs);
+    Offset += 64;
+    if (!Publish)
+      Unpublished.push_back(Obj);
+    return Obj;
+  };
+  for (size_t I = 0; I < NumInterior; ++I)
+    Interior.push_back(
+        place(I % 11 != 0, static_cast<uint16_t>(Rng.nextBelow(4))));
+  for (Object *Obj : Interior)
+    for (unsigned R = 0; R < Obj->numRefs(); ++R)
+      Obj->storeRefRaw(R, Interior[Rng.nextBelow(NumInterior)]);
+  for (size_t I = 0; I < NumRoots; ++I) {
+    Object *Root = place(I % 5 != 0, 2);
+    for (unsigned R = 0; R < 2; ++R)
+      Root->storeRefRaw(R, Interior[Rng.nextBelow(NumInterior)]);
+    RootObjs.push_back(Root);
+  }
+  ASSERT_LE(Offset, Heap.sizeBytes());
+
+  // The roots, for the verifier.
+  MutatorContext Mutator(Pool);
+  Registry.attach(&Mutator);
+  Mutator.reserveRoots(NumRoots);
+  for (size_t I = 0; I < NumRoots; ++I)
+    Mutator.setRoot(I, RootObjs[I]);
+
+  // Each input packet holds exactly PacketEntries roots: the first batch
+  // any participant classifies has that many entries.
+  PacketPool BigPool(64);
+  Tracer DrainTrace(Heap, BigPool, Registry);
+  DrainTrace.beginCycle();
+  for (size_t P = 0; P < NumPackets; ++P) {
+    TraceContext RootCtx(BigPool);
+    for (size_t I = 0; I < PacketEntries; ++I)
+      DrainTrace.markAndQueue(RootCtx, RootObjs[P * PacketEntries + I]);
+    RootCtx.release();
+  }
+  ASSERT_EQ(BigPool.approxInputPackets(), NumPackets);
+
+  uint64_t Returned = drainPool(DrainTrace, BigPool, Participants,
+                                /*CheckAllocBits=*/true);
+  EXPECT_GT(DrainTrace.deferredCount(), 0u);
+  for (Object *Obj : Unpublished)
+    Heap.allocBits().set(Obj);
+  BigPool.redistributeDeferred();
+  Returned += drainPool(DrainTrace, BigPool, Participants,
+                        /*CheckAllocBits=*/false);
+  EXPECT_TRUE(BigPool.allPacketsEmptyAndIdle());
+  EXPECT_EQ(DrainTrace.overflowCount(), 0u);
+
+  HeapVerifier Verifier(Heap);
+  VerifyResult R = Verifier.verify(Registry, /*CheckMarks=*/true);
+  Registry.detach(&Mutator);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(Heap.markBits().countInRange(Heap.base(), Heap.base() + Offset),
+            R.ReachableObjects);
+  EXPECT_EQ(DrainTrace.cycleTracedBytes(), R.ReachableBytes);
+  EXPECT_EQ(DrainTrace.cycleTracedBytes(), Returned);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndParticipants, PrefetchDrainTest,
+    ::testing::Combine(::testing::Values(1u, Tracer::PrefetchDistance - 1,
+                                         Tracer::PrefetchDistance,
+                                         Tracer::PrefetchDistance + 1,
+                                         WorkPacket::Capacity),
+                       ::testing::Values(1u, 3u)),
+    [](const auto &Info) {
+      return "Entries" + std::to_string(std::get<0>(Info.param)) +
+             "Participants" + std::to_string(std::get<1>(Info.param));
+    });
+
+/// The swap exception mid-batch under the prefetching drain. Each root
+/// packet holds 12 roots with 100 leaf children each; the pool has one
+/// spare packet per root packet, so the children of a packet's roots
+/// (1200) outgrow its spare (493 slots) and the pushes take the swap
+/// exception. Roots sit at the bottom of every packet they are in, so a
+/// root is scanned with at least Capacity - 12 free slots in its own
+/// packet: the swap always has room for its remaining children and
+/// nothing overflows.
+class PrefetchSwapTest : public TracerTest,
+                         public ::testing::WithParamInterface<unsigned> {};
+
+TEST_P(PrefetchSwapTest, SwapMidBatchMarksExactlyTheReachableSet) {
+  const unsigned Participants = GetParam();
+  constexpr size_t RootsPerPacket = 12, Fanout = 100;
+  const size_t NumPackets = Participants;
+  std::vector<Object *> RootObjs;
+  size_t Offset = 0;
+  for (size_t R = 0; R < NumPackets * RootsPerPacket; ++R) {
+    Object *Root = plant(Offset, Fanout);
+    Offset += Root->sizeBytes();
+    for (unsigned C = 0; C < Fanout; ++C) {
+      Root->storeRefRaw(C, plant(Offset, 0));
+      Offset += 64;
+    }
+    RootObjs.push_back(Root);
+  }
+  ASSERT_LE(Offset, Heap.sizeBytes());
+  MutatorContext Mutator(Pool);
+  Registry.attach(&Mutator);
+  Mutator.reserveRoots(RootObjs.size());
+  for (size_t I = 0; I < RootObjs.size(); ++I)
+    Mutator.setRoot(I, RootObjs[I]);
+
+  PacketPool SwapPool(static_cast<uint32_t>(2 * NumPackets));
+  Tracer SwapTrace(Heap, SwapPool, Registry);
+  SwapTrace.beginCycle();
+  for (size_t P = 0; P < NumPackets; ++P) {
+    TraceContext RootCtx(SwapPool);
+    for (size_t I = 0; I < RootsPerPacket; ++I)
+      SwapTrace.markAndQueue(RootCtx, RootObjs[P * RootsPerPacket + I]);
+    RootCtx.release();
+  }
+  uint64_t Returned = drainPool(SwapTrace, SwapPool, Participants,
+                                /*CheckAllocBits=*/true);
+  EXPECT_EQ(SwapTrace.overflowCount(), 0u);
+  EXPECT_EQ(SwapTrace.deferredCount(), 0u);
+  EXPECT_TRUE(SwapPool.allPacketsEmptyAndIdle());
+
+  HeapVerifier Verifier(Heap);
+  VerifyResult R = Verifier.verify(Registry, /*CheckMarks=*/true);
+  Registry.detach(&Mutator);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.ReachableObjects, NumPackets * RootsPerPacket * (1 + Fanout));
+  EXPECT_EQ(Heap.markBits().countInRange(Heap.base(), Heap.base() + Offset),
+            R.ReachableObjects);
+  EXPECT_EQ(SwapTrace.cycleTracedBytes(), R.ReachableBytes);
+  EXPECT_EQ(SwapTrace.cycleTracedBytes(), Returned);
+}
+
+INSTANTIATE_TEST_SUITE_P(Participants, PrefetchSwapTest,
+                         ::testing::Values(1u, 3u),
+                         [](const auto &Info) {
+                           return "Participants" +
+                                  std::to_string(Info.param);
+                         });
 
 } // namespace
