@@ -16,14 +16,10 @@
 // the 1-shard baseline at the same thread count.
 //
 // The second section moves up a layer: a full GcHeap small-object churn
-// with FastPathSizeClasses off vs on (DESIGN.md §16), same workload and
-// duration, reporting allocations/s, cycles per allocation, and — the
-// number the fast path exists to shrink — shard-lock acquisitions per
-// allocation. With the flag on, sweep-reclaimed small runs ride the
-// lock-free remote-free queues back to their owner instead of paying a
-// locked addRange each, and class refills drain those queues without
-// touching the shard locks. Both sections land in one cgc-bench-v1
-// document so the off/on contrast is a single-file read.
+// on 8 shards, reporting allocations/s, cycles per allocation and
+// shard-lock acquisitions per allocation (cache refills plus the sweep's
+// per-chunk batch publication). Both sections land in one cgc-bench-v1
+// document.
 //
 //===----------------------------------------------------------------------===//
 
@@ -88,7 +84,7 @@ double runCell(uint8_t *Region, unsigned Shards, unsigned Threads,
   return static_cast<double>(Total) / Seconds;
 }
 
-/// --- GcHeap section: FastPathSizeClasses off vs on ---------------------
+/// --- GcHeap section: small-object churn --------------------------------
 
 struct GcCellResult {
   double AllocsPerSec = 0;
@@ -99,15 +95,13 @@ struct GcCellResult {
 
 /// Small-object churn with a rolling rooted window: survivors pepper
 /// the heap so each sweep reclaims many sub-bin-threshold runs — the
-/// fragmented steady state where the remote-free queues earn their
-/// keep. Identical workload for both flag settings.
-GcCellResult runGcCell(bool FastPath, unsigned Threads, uint64_t RunMillis) {
+/// fragmented steady state.
+GcCellResult runGcCell(unsigned Threads, uint64_t RunMillis) {
   GcOptions Opts;
   Opts.Kind = CollectorKind::StopTheWorld;
   Opts.HeapBytes = 32u << 20;
   Opts.FreeListShards = 8;
   Opts.BackgroundThreads = 0;
-  Opts.FastPathSizeClasses = FastPath;
   auto Heap = GcHeap::create(Opts);
 
   const uint64_t LockBefore = Heap->core().Heap.freeList().lockAcquisitions();
@@ -124,8 +118,7 @@ GcCellResult runGcCell(bool FastPath, unsigned Threads, uint64_t RunMillis) {
       uint64_t Mine = 0;
       uint64_t C0 = costClock();
       while (!Stop.load(std::memory_order_relaxed)) {
-        // 24..920 total bytes: inside the class table when the flag is
-        // on, the ordinary bump path when it is off.
+        // 24..920 total bytes: all served by the allocation cache.
         size_t Payload = 16 + (Mine % 16) * 56;
         Object *Obj = Heap->allocate(Ctx, Payload, 0);
         if (Obj && (Mine & 3) == 0) // Every 4th survives one window.
@@ -218,36 +211,27 @@ int main() {
   Table.print();
   std::free(Region);
 
-  // GcHeap churn: the same workload with the size-class fast path off
-  // and on, in this order, in one document.
-  std::printf("\n== GcHeap small-object churn: FastPathSizeClasses ==\n");
+  std::printf("\n== GcHeap small-object churn ==\n");
   const unsigned HwThreads = std::thread::hardware_concurrency();
   const unsigned GcThreads = HwThreads >= 4 ? 4 : (HwThreads ? HwThreads : 1);
-  TablePrinter GcTable({"fastpath", "allocs/s", "cost/alloc",
+  TablePrinter GcTable({"threads", "allocs/s", "cost/alloc",
                         "shard-lock acq/alloc", "gc cycles"});
-  for (bool FastPath : {false, true}) {
-    GcCellResult R = runGcCell(FastPath, GcThreads, RunMillis * 4);
-    GcTable.addRow({FastPath ? "on" : "off",
-                    TablePrinter::num(R.AllocsPerSec / 1e6, 2) + "M",
-                    TablePrinter::num(R.CostPerAlloc, 1),
-                    TablePrinter::num(R.LockAcqPerAlloc, 5),
-                    TablePrinter::num(static_cast<double>(R.Cycles), 0)});
-    Json.beginRow(std::string("gcheap,fastpath=") + (FastPath ? "1" : "0"));
-    Json.addConfig("fastpath", FastPath ? 1 : 0);
-    Json.addConfig("threads", GcThreads);
-    Json.addConfig("heap_mb", 32);
-    Json.addMetric("allocs_per_s", R.AllocsPerSec, "per_s");
-    Json.addMetric("cycles_per_alloc", R.CostPerAlloc, costClockUnit());
-    Json.addMetric("shard_lock_acquisitions_per_alloc", R.LockAcqPerAlloc,
-                   "count");
-    Json.addMetric("gc_cycles", static_cast<double>(R.Cycles), "count");
-  }
+  GcCellResult R = runGcCell(GcThreads, RunMillis * 4);
+  GcTable.addRow({std::to_string(GcThreads),
+                  TablePrinter::num(R.AllocsPerSec / 1e6, 2) + "M",
+                  TablePrinter::num(R.CostPerAlloc, 1),
+                  TablePrinter::num(R.LockAcqPerAlloc, 5),
+                  TablePrinter::num(static_cast<double>(R.Cycles), 0)});
+  Json.beginRow("gcheap");
+  Json.addConfig("threads", GcThreads);
+  Json.addConfig("heap_mb", 32);
+  Json.addMetric("allocs_per_s", R.AllocsPerSec, "per_s");
+  Json.addMetric("cycles_per_alloc", R.CostPerAlloc, costClockUnit());
+  Json.addMetric("shard_lock_acquisitions_per_alloc", R.LockAcqPerAlloc,
+                 "count");
+  Json.addMetric("gc_cycles", static_cast<double>(R.Cycles), "count");
   GcTable.print();
 
   emitBenchJson(Json);
-  std::printf("\nexpected shape: shard-lock acquisitions per allocation drop "
-              "measurably with the fast path on — sweep-reclaimed small runs "
-              "ride the lock-free remote-free queues instead of locked "
-              "addRange, and class refills drain them without the lock.\n");
   return 0;
 }

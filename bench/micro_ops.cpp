@@ -67,21 +67,6 @@ void BM_AllocateSmallStwNoBarrier(benchmark::State &State) {
 }
 BENCHMARK(BM_AllocateSmallStwNoBarrier);
 
-void BM_AllocateSmallFastPathSizeClasses(benchmark::State &State) {
-  GcOptions Opts = microOptions(CollectorKind::MostlyConcurrent);
-  Opts.FastPathSizeClasses = true;
-  auto Heap = GcHeap::create(Opts);
-  MutatorContext &Ctx = Heap->attachThread();
-  for (auto _ : State) {
-    Object *Obj = Heap->allocate(Ctx, 32, 2);
-    benchmark::DoNotOptimize(Obj);
-  }
-  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
-                          Object::requiredSize(32, 2));
-  Heap->detachThread(Ctx);
-}
-BENCHMARK(BM_AllocateSmallFastPathSizeClasses);
-
 void BM_WriteBarrier(benchmark::State &State) {
   auto Heap = GcHeap::create(microOptions(CollectorKind::MostlyConcurrent));
   MutatorContext &Ctx = Heap->attachThread();
@@ -464,49 +449,41 @@ void emitMarkRateRows(BenchJsonWriter &Json) {
 }
 
 /// Manual allocation-cost measurement for the machine-readable output:
-/// a fixed count of small allocations per flag setting, reporting
-/// cycles per allocation and shard-lock acquisitions per allocation as
-/// validated cgc-bench-v1 rows (google-benchmark's own numbers stay on
-/// stdout for humans).
-void emitAllocCostRows(BenchJsonWriter &Json) {
+/// a fixed count of small allocations, reporting cycles per allocation
+/// and shard-lock acquisitions per allocation as a validated
+/// cgc-bench-v1 row (google-benchmark's own numbers stay on stdout for
+/// humans).
+void emitAllocCostRow(BenchJsonWriter &Json) {
   const uint64_t NumAllocs = envKnobU64("CGC_BENCH_ALLOC_OPS", 400000);
-  for (bool FastPath : {false, true}) {
-    GcOptions Opts = microOptions(CollectorKind::StopTheWorld);
-    Opts.HeapBytes = 32u << 20;
-    Opts.FastPathSizeClasses = FastPath;
-    auto Heap = GcHeap::create(Opts);
-    MutatorContext &Ctx = Heap->attachThread();
-    Ctx.reserveRoots(256);
+  GcOptions Opts = microOptions(CollectorKind::StopTheWorld);
+  Opts.HeapBytes = 32u << 20;
+  auto Heap = GcHeap::create(Opts);
+  MutatorContext &Ctx = Heap->attachThread();
+  Ctx.reserveRoots(256);
 
-    const uint64_t LockBefore =
-        Heap->core().Heap.freeList().lockAcquisitions();
-    const uint64_t C0 = costClock();
-    for (uint64_t I = 0; I < NumAllocs; ++I) {
-      Object *Obj = Heap->allocate(Ctx, 16 + (I % 16) * 56, 0);
-      benchmark::DoNotOptimize(Obj);
-      if (Obj && (I & 3) == 0) // Rolling survivor window: sweeps fragment.
-        Ctx.setRoot((I >> 2) % 256, Obj);
-    }
-    const uint64_t Cost = costClock() - C0;
-    const uint64_t Locks =
-        Heap->core().Heap.freeList().lockAcquisitions() - LockBefore;
-    Heap->detachThread(Ctx);
-
-    Json.beginRow(std::string("alloc_small,fastpath=") +
-                  (FastPath ? "1" : "0"));
-    Json.addConfig("fastpath", FastPath ? 1 : 0);
-    Json.addConfig("alloc_ops", static_cast<double>(NumAllocs));
-    Json.addMetric("cycles_per_alloc",
-                   static_cast<double>(Cost) /
-                       static_cast<double>(NumAllocs),
-                   costClockUnit());
-    Json.addMetric("shard_lock_acquisitions_per_alloc",
-                   static_cast<double>(Locks) /
-                       static_cast<double>(NumAllocs),
-                   "count");
-    Json.addMetric("gc_cycles",
-                   static_cast<double>(Heap->completedCycles()), "count");
+  const uint64_t LockBefore = Heap->core().Heap.freeList().lockAcquisitions();
+  const uint64_t C0 = costClock();
+  for (uint64_t I = 0; I < NumAllocs; ++I) {
+    Object *Obj = Heap->allocate(Ctx, 16 + (I % 16) * 56, 0);
+    benchmark::DoNotOptimize(Obj);
+    if (Obj && (I & 3) == 0) // Rolling survivor window: sweeps fragment.
+      Ctx.setRoot((I >> 2) % 256, Obj);
   }
+  const uint64_t Cost = costClock() - C0;
+  const uint64_t Locks =
+      Heap->core().Heap.freeList().lockAcquisitions() - LockBefore;
+  Heap->detachThread(Ctx);
+
+  Json.beginRow("alloc_small");
+  Json.addConfig("alloc_ops", static_cast<double>(NumAllocs));
+  Json.addMetric("cycles_per_alloc",
+                 static_cast<double>(Cost) / static_cast<double>(NumAllocs),
+                 costClockUnit());
+  Json.addMetric("shard_lock_acquisitions_per_alloc",
+                 static_cast<double>(Locks) / static_cast<double>(NumAllocs),
+                 "count");
+  Json.addMetric("gc_cycles", static_cast<double>(Heap->completedCycles()),
+                 "count");
 }
 
 } // namespace
@@ -524,7 +501,7 @@ int main(int argc, char **argv) {
   benchmark::Shutdown();
 
   BenchJsonWriter Json("micro_ops");
-  emitAllocCostRows(Json);
+  emitAllocCostRow(Json);
   emitMarkRateRows(Json);
   emitSweepRateRows(Json);
   emitCardCleanRow(Json);

@@ -180,17 +180,14 @@ void CollectorBase::sweepWorld(CycleRecord &Record) {
 
   Stopwatch SweepTimer;
   // Every thread's cache is quiescent (world stopped) and flushed; drop
-  // ownership so the sweep can reclaim the unused tails and parked
-  // size-class chunks (they are unmarked memory the bitwise sweep
-  // re-derives — flushing them to the free list here would double-own
-  // every byte once the sweep re-inserts it).
+  // ownership so the sweep can reclaim the unused tails (they are
+  // unmarked memory the bitwise sweep re-derives — flushing them to the
+  // free list here would double-own every byte once the sweep
+  // re-inserts it).
   C.Registry.forEach([](MutatorContext &M) {
     assert(!M.cache().hasUnflushedObjects() && "unflushed cache at sweep");
     M.cache().reset();
   });
-  // Same fate for the remote-free queues: parked chunks have clear mark
-  // bits, so the sweep below re-derives them as free runs.
-  C.Heap.resetRemoteQueues();
 
   // Latch the sweep generation's evacuation-exclusion window before the
   // sweep is armed: the armed area's bits and free ranges belong to the

@@ -456,9 +456,8 @@ Compactor::Stats Compactor::evacuate(ThreadRegistry &Registry,
       P = PieceEnd;
     }
   }
-  // Same routing as sweep: small rebuilt runs go to the owning shard's
-  // remote-free queue when the fast path is on.
-  Heap.releaseRanges(Rebuilt);
+  // One batch, as the sweep publishes a chunk: one lock per shard.
+  Heap.freeList().addRanges(Rebuilt);
 
   // Cooldown bookkeeping: conservative stack pins rarely clear within
   // one cycle, so a pinned-heavy area is skipped on the next arm.

@@ -39,10 +39,8 @@ void ConcurrentCollector::onAllocationSlowPath(MutatorContext &Ctx,
     // Kickoff paces off *refillable* free bytes: raw free can stay above
     // the threshold while every shard is too fragmented to refill a
     // cache (DESIGN.md §9 stranding), which would start the cycle only
-    // at allocation failure. The aggregate includes bytes parked in
-    // size-class caches and remote-free queues — allocatable memory the
-    // free lists no longer see (DESIGN.md §16).
-    if (C.Pace.shouldKickoff(C.pacerVisibleFreeBytes()))
+    // at allocation failure.
+    if (C.Pace.shouldKickoff(C.Heap.refillableFreeBytes()))
       tryStartCycle(&Ctx);
   }
   if (C.phase() == GcPhase::Concurrent) {
@@ -58,13 +56,13 @@ void ConcurrentCollector::collectNow(MutatorContext *Ctx) {
   finishCycle(Ctx, /*DueToFailure=*/true);
 }
 
-void ConcurrentCollector::tryStartCycle(MutatorContext *Ctx) {
+bool ConcurrentCollector::tryStartCycle(MutatorContext *Ctx) {
   // try_lock: if someone is collecting or starting, our trigger is moot.
   if (!C.CollectMutex.try_lock())
-    return;
+    return false;
   if (C.phase() != GcPhase::Idle) {
     C.CollectMutex.unlock();
-    return;
+    return false;
   }
 
   initializeCycle(C.Options.ConcurrentCleaningPasses);
@@ -87,8 +85,9 @@ void ConcurrentCollector::tryStartCycle(MutatorContext *Ctx) {
   // allocation slow path into assist mode.
   C.setPhase(GcPhase::Concurrent);
   CGC_OBS_EVENT(C.Obs, CycleKickoff, Cur.CycleNumber,
-                C.pacerVisibleFreeBytes());
+                C.Heap.refillableFreeBytes());
   C.CollectMutex.unlock();
+  return true;
 }
 
 void ConcurrentCollector::scanRootsOf(MutatorContext &Victim,
@@ -404,13 +403,10 @@ void ConcurrentCollector::watchdogLoop() {
       LastProgress = Progress;
     }
     double K = C.Pace.currentRate(Traced, C.Heap.freeBytes());
-    // Lag detection watches the pacer-visible aggregate for the same
-    // reason the kickoff does: stranded fragmented shards must count as
-    // pressure, but bytes parked in size-class caches and remote-free
-    // queues must not — they are allocatable, and ignoring them would
-    // misdiagnose a healthy fast-path heap as a stall.
+    // Lag detection watches refillable free bytes for the same reason
+    // the kickoff does: stranded fragmented shards count as pressure.
     bool Behind = K >= C.Options.kmax() - 1e-9 &&
-                  C.pacerVisibleFreeBytes() <
+                  C.Heap.refillableFreeBytes() <
                       C.Pace.kickoffThresholdBytes() / 4;
     LagTicks = Behind ? LagTicks + 1 : 0;
     if (StallTicks >= C.Options.WatchdogStallTicks ||

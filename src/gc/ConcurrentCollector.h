@@ -53,14 +53,20 @@ public:
   bool concurrentWorkComplete();
 
   /// Explicit kickoff: starts a concurrent cycle now if the collector is
-  /// idle (no-op otherwise). Normal kickoff waits for free memory to
-  /// cross the Section 3.1 threshold, which a fragmented or sharded
-  /// free list can fail to reach before allocation fails outright;
-  /// tests and benches use this to open a cycle deterministically.
-  void startConcurrentCycle(MutatorContext *Ctx) { tryStartCycle(Ctx); }
+  /// idle and returns whether it did. It returns false when a cycle is
+  /// active or another thread holds the collection lock, which includes
+  /// the moment after a finishing cycle has resumed the world but before
+  /// it has released the lock; callers that need a cycle retry. Normal
+  /// kickoff waits for free memory to cross the Section 3.1 threshold,
+  /// which a fragmented or sharded free list can fail to reach before
+  /// allocation fails outright; tests and benches use this to open a
+  /// cycle deterministically.
+  bool startConcurrentCycle(MutatorContext *Ctx) { return tryStartCycle(Ctx); }
 
 private:
-  void tryStartCycle(MutatorContext *Ctx);
+  /// Starts a cycle unless one is active or the collection lock is
+  /// taken; returns whether it started one.
+  bool tryStartCycle(MutatorContext *Ctx);
   void mutatorAssist(MutatorContext &Ctx, size_t Bytes);
   /// Starved-participant fallback work. Returns the bytes of collection
   /// work performed (cards scanned count at card size — the "M" work of

@@ -52,10 +52,7 @@ struct GcCore {
              // Ranges below the large-object threshold cannot be relied
              // on for cache refills, so they don't count as refillable
              // (the pacer's stranding-aware kickoff input, DESIGN.md §10).
-             Opts.LargeObjectBytes,
-             // Fast path: sweep/compaction park small reclaimed runs on
-             // the owning shard's remote-free queue (DESIGN.md §16).
-             Opts.FastPathSizeClasses),
+             Opts.LargeObjectBytes),
         Pool(Opts.NumWorkPackets, &Inject, &Obs),
         Compact(Heap, Opts.EvacuationAreaBytes, &Inject),
         Trace(Heap, Pool, Registry, &Compact, Opts.NaiveFenceAccounting,
@@ -106,22 +103,6 @@ struct GcCore {
   }
   void setPhase(GcPhase P) {
     Phase.store(static_cast<int>(P), std::memory_order_release);
-  }
-
-  /// Free bytes as the pacer must see them: the free lists' refillable
-  /// aggregate, the remote-free queues (both via the heap), plus bytes
-  /// parked in per-thread size-class caches. Cached and queued chunks
-  /// are memory the allocator will consume without ever touching the
-  /// shared lists — invisible, they make free space look smaller than
-  /// it is, kicking cycles off late and tripping the watchdog's lag
-  /// check on a healthy heap.
-  size_t pacerVisibleFreeBytes() {
-    size_t Cached = 0;
-    if (Options.FastPathSizeClasses)
-      Registry.forEach([&Cached](MutatorContext &M) {
-        Cached += M.cache().cachedClassBytes();
-      });
-    return Heap.refillableFreeBytes() + Cached;
   }
 };
 

@@ -52,8 +52,8 @@ struct GcOptions {
   /// start concurrent cycles earlier, trading throughput (more cycles,
   /// more floating garbage) for request-latency headroom — with less of
   /// the heap outstanding when the final pause arrives, the pause is
-  /// shorter and an open-loop latency SLO (bench/openloop_kv) is easier
-  /// to hold. Values below 1.0 delay kickoff (throughput-biased).
+  /// shorter and an open-loop latency SLO is easier to hold. Values
+  /// below 1.0 delay kickoff (throughput-biased).
   double KickoffHeadroom = 1.0;
 
   /// Alpha for the exponential smoothing of L, M and Best.
@@ -87,15 +87,6 @@ struct GcOptions {
 
   /// Per-thread allocation cache (TLAB) size.
   size_t AllocCacheBytes = 32u << 10;
-
-  /// llheap-style allocation fast path (DESIGN.md §16): requests up to
-  /// MaxSizeClassBytes are rounded to a static size class (O(1)
-  /// FASTLOOKUP) and served from per-thread segregated chunk caches;
-  /// sweep/compaction return small reclaimed runs to the owning shard's
-  /// lock-free remote-free queue, drained by the shard's mutators at
-  /// refill time, instead of taking the shard lock per run. Off keeps
-  /// the legacy bump-only path byte-exact (lockstep baseline).
-  bool FastPathSizeClasses = false;
 
   /// Objects at least this big bypass the cache and are allocated
   /// directly from the free list.

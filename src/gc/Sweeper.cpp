@@ -92,12 +92,11 @@ Sweeper::ChunkResult Sweeper::sweepChunk(size_t Index,
   // publication, so no mutator allocates in them yet.
   Heap.allocBits().retainRange(Heap.markBits(), ChunkStart, ChunkEnd, XLo,
                                XHi);
-  // One publication per chunk, routed to the shards owning the
-  // addresses: small runs go to their lock-free remote-free queues when
-  // the fast path is on, the rest to each shard's list under one lock.
-  // Freed counts what was published: a shard split may drop a sliver.
+  // One publication per chunk, split across the shards owning the
+  // addresses: one lock per shard touched. Freed counts what was
+  // published: a shard split may drop a sliver.
   if (!Batch.empty())
-    Result.FreedBytes = Heap.releaseRanges(Batch);
+    Result.FreedBytes = Heap.freeList().addRanges(Batch);
   return Result;
 }
 

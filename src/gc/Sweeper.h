@@ -12,7 +12,7 @@
 /// Publication is batched per chunk. A chunk's reclaimed ranges collect
 /// in the sweeping thread's buffer (address ordered, at most one chunk's
 /// worth) and go to the free-space manager in one
-/// HeapSpace::releaseRanges call at the end of the chunk: one shard-lock
+/// ShardedFreeList::addRanges call at the end of the chunk: one shard-lock
 /// acquisition per shard the chunk covers, not one per range. Adjacent
 /// chunks usually map to the same shard, so the parallel sweep claims
 /// chunks round-robin across shards (an order fixed at construction):

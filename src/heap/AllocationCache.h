@@ -16,16 +16,12 @@
 
 #include "heap/BitVector8.h"
 #include "heap/ObjectModel.h"
-#include "heap/SizeClasses.h"
 #include "support/Annotations.h"
 #include "support/FaultInjector.h"
 #include "support/Fences.h"
 
-#include <array>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <vector>
 
 namespace cgc {
 
@@ -33,12 +29,10 @@ class FreeList;
 class ShardedFreeList;
 
 /// Bump-pointer allocation cache with deferred allocation-bit publishing.
-///
-/// When the heap runs with FastPathSizeClasses the cache additionally
-/// holds per-size-class chunk lists (DESIGN.md §16): small allocations
-/// pop an exact-class chunk in O(1) and their allocation bits join the
-/// same batched publish (PendingPublish rides flushAllocBits' single
-/// fence). The bump range keeps serving mid-size objects unchanged.
+/// It is the heap's only small-object allocation path: every object
+/// below the large-object threshold is carved from the range a refill
+/// took off the free list, and the objects of one range are published
+/// with one fence per flush.
 class AllocationCache {
 public:
   /// A cache starts empty; assignRange() arms it.
@@ -84,11 +78,10 @@ public:
   void setFaultInjector(FaultInjector *Injector) { FI = Injector; }
 
   /// Section 5.2 mutator steps 2-3: one fence, then publish the
-  /// allocation bits of every object allocated since the last flush —
-  /// the bump range's block and the size-class path's pending objects
-  /// share the one fence. Returns the number of objects published.
+  /// allocation bits of every object allocated since the last flush.
+  /// Returns the number of objects published.
   size_t flushAllocBits(BitVector8 &AllocBits) {
-    if (FlushedTo == Cur && PendingPublish.empty())
+    if (FlushedTo == Cur)
       return 0;
     fence(FenceSite::AllocCacheFlush);
     if (FI)
@@ -106,68 +99,8 @@ public:
     }
     assert(P == Cur && "object walk overran the bump pointer");
     FlushedTo = Cur;
-    for (Object *Obj : PendingPublish)
-      AllocBits.setRelease(Obj);
-    Published += PendingPublish.size();
-    PendingPublish.clear();
     return Published;
   }
-
-  /// --- Size-class fast path (DESIGN.md §16) --------------------------
-
-  /// Pops a chunk of \p Class, header-initializes it to the class size
-  /// and queues its allocation bit for the next flush. Returns nullptr
-  /// when the class list is empty (caller refills). Pure list pop:
-  /// never polls, never hands control to the collector.
-  CGC_NO_SAFEPOINT Object *allocateClass(unsigned Class, uint16_t NumRefs,
-                                         uint16_t ClassId) {
-    auto &List = ClassChunks[Class];
-    if (List.empty())
-      return nullptr;
-    uint8_t *Start = List.back();
-    List.pop_back();
-    size_t CS = sizeClassBytes(Class);
-    CachedClassBytesV.store(
-        CachedClassBytesV.load(std::memory_order_relaxed) - CS,
-        std::memory_order_relaxed);
-    Object *Obj = reinterpret_cast<Object *>(Start);
-    Obj->initialize(static_cast<uint32_t>(CS), NumRefs, ClassId);
-    PendingPublish.push_back(Obj);
-    return Obj;
-  }
-
-  /// Whether class \p Class has no cached chunks.
-  bool classEmpty(unsigned Class) const { return ClassChunks[Class].empty(); }
-
-  /// Adds one chunk of exactly sizeClassBytes(Class) to \p Class
-  /// (refill carve or remote-queue drain; owner thread only).
-  CGC_NO_SAFEPOINT void pushClassChunk(unsigned Class, uint8_t *Start) {
-    ClassChunks[Class].push_back(Start);
-    CachedClassBytesV.store(CachedClassBytesV.load(std::memory_order_relaxed) +
-                                sizeClassBytes(Class),
-                            std::memory_order_relaxed);
-  }
-
-  /// Free bytes currently parked in the class lists. Owner-maintained;
-  /// other threads (pacer aggregation) read racily.
-  size_t cachedClassBytes() const {
-    return CachedClassBytesV.load(std::memory_order_relaxed);
-  }
-
-  /// Whether the pending-publish batch has hit its cap: the owner must
-  /// flushAllocBits before allocating further class objects, bounding
-  /// how long a class-path object can stay invisible to stack scans.
-  bool pendingPublishFull() const {
-    return PendingPublish.size() >= MaxPendingPublish;
-  }
-
-  /// Returns every cached class chunk to \p FL, coalescing adjacent
-  /// chunks first so sub-bin-granule classes survive the free list's
-  /// minimum-range filter where possible (unmergeable sub-64 B chunks
-  /// go dark until the next sweep, like any other crumb). Returns the
-  /// bytes that left the class lists. Used by the allocation ladder's
-  /// stranded-memory reclaim and by thread detach.
-  size_t flushClassLists(ShardedFreeList &FL);
 
   /// Releases the cache's unused tail back to \p FL and forgets the
   /// range. Allocation bits must already be flushed by the caller (the
@@ -179,37 +112,19 @@ public:
   /// sharded insert handles splitting regardless).
   void retire(ShardedFreeList &FL);
 
-  /// Drops the range and the class lists without recycling anything
-  /// (sweep pause — the bitwise sweep re-derives all of it from the
-  /// mark bits — and heap teardown).
-  void reset() {
-    CacheStart = Cur = FlushedTo = End = nullptr;
-    for (auto &List : ClassChunks)
-      List.clear();
-    CachedClassBytesV.store(0, std::memory_order_relaxed);
-    PendingPublish.clear();
-  }
+  /// Drops the range without recycling it (sweep pause — the bitwise
+  /// sweep re-derives it from the mark bits — and heap teardown).
+  void reset() { CacheStart = Cur = FlushedTo = End = nullptr; }
 
   /// Whether there are allocated objects whose bits are not yet published.
-  bool hasUnflushedObjects() const {
-    return FlushedTo != Cur || !PendingPublish.empty();
-  }
+  bool hasUnflushedObjects() const { return FlushedTo != Cur; }
 
 private:
-  /// Class-path publish batch cap: one fence per this many objects.
-  static constexpr size_t MaxPendingPublish = 512;
-
   uint8_t *CacheStart = nullptr;
   uint8_t *Cur = nullptr;
   uint8_t *FlushedTo = nullptr;
   uint8_t *End = nullptr;
   FaultInjector *FI = nullptr;
-  /// Per-class chunk stacks; every entry is exactly its class size.
-  std::array<std::vector<uint8_t *>, NumSizeClasses> ClassChunks;
-  /// Class objects allocated since the last flushAllocBits.
-  std::vector<Object *> PendingPublish;
-  CGC_ATOMIC_DOC("owner stores relaxed; pacer aggregation reads racily")
-  std::atomic<size_t> CachedClassBytesV{0};
 };
 
 } // namespace cgc

@@ -131,8 +131,8 @@ public:
 
   /// Number of times a mutating operation (insert, allocate, refill,
   /// withdraw, clear) acquired this shard's lock — the contention
-  /// currency the allocation fast path exists to save. Monotonic;
-  /// benches read deltas.
+  /// currency of refills and sweep publication. Monotonic; benches read
+  /// deltas.
   uint64_t lockAcquisitions() const {
     return LockAcquisitions.load(std::memory_order_relaxed);
   }

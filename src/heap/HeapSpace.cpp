@@ -13,39 +13,14 @@ static size_t roundUpToPage(size_t Bytes) {
 }
 
 HeapSpace::HeapSpace(size_t SizeBytes, unsigned FreeListShards,
-                     FaultInjector *FI, size_t RefillThresholdBytes,
-                     bool RouteRemoteFrees)
+                     FaultInjector *FI, size_t RefillThresholdBytes)
     : Base(static_cast<uint8_t *>(
           std::aligned_alloc(4096, roundUpToPage(SizeBytes)))),
       Size(roundUpToPage(SizeBytes)), MarkBitsV(Base, Size),
       AllocBitsV(Base, Size), CardsV(Base, Size),
-      FreeListV(Base, Size, FreeListShards, FI, RefillThresholdBytes),
-      RouteRemoteFreesV(RouteRemoteFrees) {
+      FreeListV(Base, Size, FreeListShards, FI, RefillThresholdBytes) {
   assert(Base && "heap reservation failed");
-  RemoteQueuesV.reserve(FreeListV.numShards());
-  for (unsigned I = 0; I < FreeListV.numShards(); ++I)
-    RemoteQueuesV.push_back(std::make_unique<RemoteFreeQueue>());
   FreeListV.addRange(Base, Size);
 }
 
 HeapSpace::~HeapSpace() { std::free(Base); }
-
-size_t HeapSpace::drainRemoteQueue(size_t Shard) {
-  size_t Moved = 0;
-  RemoteFreeChunk *Chunk = RemoteQueuesV[Shard]->takeAll();
-  while (Chunk) {
-    RemoteFreeChunk *Next = Chunk->Next;
-    size_t ChunkSize = Chunk->SizeBytes;
-    FreeListV.addRange(reinterpret_cast<uint8_t *>(Chunk), ChunkSize);
-    Moved += ChunkSize;
-    Chunk = Next;
-  }
-  return Moved;
-}
-
-size_t HeapSpace::drainAllRemoteQueues() {
-  size_t Moved = 0;
-  for (size_t I = 0; I < RemoteQueuesV.size(); ++I)
-    Moved += drainRemoteQueue(I);
-  return Moved;
-}

@@ -5,7 +5,6 @@
 #include "gc/ConcurrentCollector.h"
 #include "gc/FlightRecorder.h"
 #include "gc/StwCollector.h"
-#include "heap/SizeClasses.h"
 
 #include <algorithm>
 #include <cassert>
@@ -75,27 +74,8 @@ void GcHeap::detachThread(MutatorContext &Ctx) {
   {
     std::lock_guard<std::mutex> Lock(Core.CollectMutex);
     Ctx.cache().flushAllocBits(Core.Heap.allocBits());
-    // Publish the size-class cache before the context dies: parked
-    // chunks nobody else can see would otherwise leak until the next
-    // sweep pause re-derived them.
-    Ctx.cache().flushClassLists(Core.Heap.freeList());
     Ctx.cache().retire(Core.Heap.freeList());
     Core.Registry.detach(&Ctx);
-    // Ownership hand-off for the shard's remote-free queue: a surviving
-    // thread with the same preferred shard inherits it (its next class
-    // refill drains the queue as usual); with no successor, drain it
-    // now — nothing would consume it until a ladder reclaim or the next
-    // sweep pause.
-    if (Core.Heap.remoteRoutingEnabled()) {
-      const unsigned Shard = Ctx.preferredShard();
-      bool HasSuccessor = false;
-      Core.Registry.forEach([&](MutatorContext &M) {
-        if (M.preferredShard() == Shard)
-          HasSuccessor = true;
-      });
-      if (!HasSuccessor)
-        Core.Heap.drainRemoteQueue(Shard);
-    }
     SpinLockGuard Guard(ContextsLock);
     auto It = std::find_if(
         Contexts.begin(), Contexts.end(),
@@ -118,20 +98,11 @@ bool GcHeap::refillCache(MutatorContext &Ctx, size_t MinBytes) {
           Ctx.preferredShard());
     };
     uint8_t *Range = AllocUpTo();
-    if (!Range && Core.Heap.remoteRoutingEnabled()) {
-      // The owning shard's remote queue may hold exactly the runs the
-      // lists lack (sweep routed them there); draining it is the bump
-      // path's share of the ownership return.
-      Core.Heap.drainRemoteQueue(Ctx.preferredShard());
-      Range = AllocUpTo();
-    }
     if (!Range && Core.Sweep.lazySweepPending()) {
       // Sweeping at allocation time is the lazy-sweep happy path, not an
       // escalation — only a refill that still fails afterwards climbs
       // the ladder.
       Core.Sweep.sweepUntilFree(Core.Options.AllocCacheBytes);
-      if (Core.Heap.remoteRoutingEnabled())
-        Core.Heap.drainRemoteQueue(Ctx.preferredShard());
       Range = AllocUpTo();
     }
     if (!Range)
@@ -160,8 +131,6 @@ Object *GcHeap::allocate(MutatorContext &Ctx, size_t PayloadBytes,
     recordNaiveFence(FenceSite::NaivePerObjectAlloc);
   if (Total >= Core.Options.LargeObjectBytes)
     return allocateLarge(Ctx, Total, NumRefs, ClassId);
-  if (Core.Options.FastPathSizeClasses && Total <= MaxSizeClassBytes)
-    return allocateSizeClass(Ctx, Total, NumRefs, ClassId);
 
   if (Object *Obj = Ctx.cache().allocate(Total, NumRefs, ClassId)) {
     Ctx.BytesAllocated.fetch_add(Total, std::memory_order_relaxed);
@@ -178,118 +147,6 @@ Object *GcHeap::allocate(MutatorContext &Ctx, size_t PayloadBytes,
   Object *Obj = Ctx.cache().allocate(Total, NumRefs, ClassId);
   assert(Obj && "fresh cache cannot satisfy the allocation it was sized for");
   Ctx.BytesAllocated.fetch_add(Total, std::memory_order_relaxed);
-  return Obj;
-}
-
-/// Carves [Start, Start + Size) into class chunks, \p Class first and
-/// then descending classes for the tail; a remainder below the smallest
-/// class goes dark until the next sweep (like any other crumb).
-static void carveIntoClasses(AllocationCache &Cache, unsigned Class,
-                             uint8_t *Start, size_t Size) {
-  const size_t CS = sizeClassBytes(Class);
-  while (Size >= CS) {
-    Cache.pushClassChunk(Class, Start);
-    Start += CS;
-    Size -= CS;
-  }
-  unsigned C = Class;
-  while (Size >= SizeClassSizes.front()) {
-    while (sizeClassBytes(C) > Size)
-      --C;
-    Cache.pushClassChunk(C, Start);
-    Start += sizeClassBytes(C);
-    Size -= sizeClassBytes(C);
-  }
-}
-
-size_t GcHeap::drainRemoteIntoClasses(MutatorContext &Ctx, unsigned Class) {
-  if (!Core.Heap.remoteRoutingEnabled())
-    return 0;
-  RemoteFreeChunk *Chunk =
-      Core.Heap.remoteQueue(Ctx.preferredShard()).takeAll();
-  size_t Drained = 0;
-  while (Chunk) {
-    // Read the overlay before carving: the chunk's memory is about to
-    // become class chunks (and eventually object headers).
-    RemoteFreeChunk *Next = Chunk->Next;
-    size_t Size = Chunk->SizeBytes;
-    carveIntoClasses(Ctx.cache(), Class, reinterpret_cast<uint8_t *>(Chunk),
-                     Size);
-    Drained += Size;
-    Chunk = Next;
-  }
-  return Drained;
-}
-
-void GcHeap::reclaimStranded(MutatorContext &Ctx) {
-  Ctx.cache().flushClassLists(Core.Heap.freeList());
-  Core.Heap.drainAllRemoteQueues();
-}
-
-bool GcHeap::refillClass(MutatorContext &Ctx, unsigned Class) {
-  const size_t CS = sizeClassBytes(Class);
-  auto TryOnce = [&]() -> bool {
-    // Same injection site as the bump refill: the attempt fails before
-    // any free-list or queue traffic, so the ladder escalates
-    // deterministically under chaos.
-    if (Core.Inject.shouldFail(FaultSite::AllocCacheRefill))
-      return false;
-    // Ownership return first: the owning shard's remote queue feeds the
-    // class lists without touching any lock.
-    size_t Budget = drainRemoteIntoClasses(Ctx, Class);
-    if (Ctx.cache().classEmpty(Class)) {
-      // Batch refill: one locked grab of up to a whole cache's worth,
-      // carved into class chunks — the same lock amortization as a
-      // TLAB refill, spent once per ~AllocCacheBytes of allocation.
-      size_t Granted = 0;
-      uint8_t *Range = Core.Heap.freeList().allocateUpTo(
-          CS, Core.Options.AllocCacheBytes, Granted, Ctx.preferredShard());
-      if (!Range && Core.Sweep.lazySweepPending()) {
-        Core.Sweep.sweepUntilFree(Core.Options.AllocCacheBytes);
-        // The lazy sweep routes small runs to the queues; drain again.
-        Budget += drainRemoteIntoClasses(Ctx, Class);
-        if (Ctx.cache().classEmpty(Class))
-          Range = Core.Heap.freeList().allocateUpTo(
-              CS, Core.Options.AllocCacheBytes, Granted,
-              Ctx.preferredShard());
-      }
-      if (Range) {
-        carveIntoClasses(Ctx.cache(), Class, Range, Granted);
-        Budget += Granted;
-      }
-    }
-    if (Ctx.cache().classEmpty(Class))
-      return false;
-    // Pacing hook AFTER the chunks are cached (mirrors refillCache):
-    // the hook can run a full collection, and memory not yet owned by
-    // the cache would be swept back onto the free list. Drained and
-    // granted bytes both owe tracing — each is fresh allocation
-    // capacity this thread just claimed.
-    Col->onAllocationSlowPath(Ctx, Budget);
-    // A collection inside the hook may have reset the cache; that
-    // attempt failed and the ladder retries.
-    return !Ctx.cache().classEmpty(Class);
-  };
-  return runAllocationLadder(Ctx, CS, TryOnce);
-}
-
-Object *GcHeap::allocateSizeClass(MutatorContext &Ctx, size_t TotalBytes,
-                                  uint16_t NumRefs, uint16_t ClassId) {
-  unsigned Class = sizeClassFor(TotalBytes);
-  Object *Obj = Ctx.cache().allocateClass(Class, NumRefs, ClassId);
-  if (!Obj) {
-    if (!refillClass(Ctx, Class))
-      return nullptr; // Heap exhausted even after full collection.
-    Obj = Ctx.cache().allocateClass(Class, NumRefs, ClassId);
-    assert(Obj && "fresh class refill cannot satisfy its own class");
-  }
-  // Bound how long a class object can stay unpublished: one fence per
-  // pending-publish batch, the class path's analogue of the bump
-  // range's flush-on-exhaustion (Section 5.2).
-  if (Ctx.cache().pendingPublishFull())
-    Ctx.cache().flushAllocBits(Core.Heap.allocBits());
-  Ctx.BytesAllocated.fetch_add(sizeClassBytes(Class),
-                               std::memory_order_relaxed);
   return Obj;
 }
 

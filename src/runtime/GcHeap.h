@@ -146,27 +146,6 @@ private:
                                       uint16_t NumRefs, uint16_t ClassId);
   CGC_SAFEPOINT bool refillCache(MutatorContext &Ctx, size_t MinBytes);
 
-  /// Size-class fast path (FastPathSizeClasses; DESIGN.md §16): pop an
-  /// exact-class chunk from the per-thread cache, refilling the class
-  /// from the owning shard's remote-free queue / free list on miss.
-  CGC_SAFEPOINT Object *allocateSizeClass(MutatorContext &Ctx,
-                                          size_t TotalBytes, uint16_t NumRefs,
-                                          uint16_t ClassId);
-  CGC_SAFEPOINT bool refillClass(MutatorContext &Ctx, unsigned Class);
-
-  /// Drains the owning shard's remote-free queue into \p Ctx's class
-  /// lists (lock-free ownership return), carving chunks for \p Class
-  /// first. Returns the bytes drained.
-  size_t drainRemoteIntoClasses(MutatorContext &Ctx, unsigned Class);
-
-  /// Every rung's first remedy: flush the requesting thread's
-  /// size-class cache and drain ALL remote-free queues back onto the
-  /// free lists. Escalating to a sweep or stop-the-world while free
-  /// memory sits parked would pay a pause for memory we already have
-  /// (the PR 2/3 shard-stranding bug reborn one level up). No-op when
-  /// the fast path never parked anything.
-  void reclaimStranded(MutatorContext &Ctx);
-
   /// The graceful-degradation ladder behind every allocation slow path.
   /// \p TryOnce attempts the allocation (returning success) and is
   /// retried after each escalation rung's remedy, in order:
@@ -181,39 +160,28 @@ private:
   ///   5. AllocationFailure — give up and report to the caller; the
   ///                     heap never aborts on exhaustion.
   /// Each rung is counted in GcStats when escalated INTO (even when its
-  /// remedy is a no-op), so tests observe a deterministic order. Every
-  /// rung's remedy begins with reclaimStranded(): memory parked in the
-  /// requesting thread's size-class cache or in any shard's remote-free
-  /// queue is returned to the free lists before anything as heavy as a
-  /// sweep or a stop-the-world runs on its behalf.
+  /// remedy is a no-op), so tests observe a deterministic order.
   template <typename TryFn>
   CGC_SAFEPOINT bool runAllocationLadder(MutatorContext &Ctx,
                                          size_t WantedBytes, TryFn TryOnce) {
     if (TryOnce())
       return true;
     noteRung(EscalationRung::RefillRetry, WantedBytes);
-    reclaimStranded(Ctx);
     if (TryOnce())
       return true;
     noteRung(EscalationRung::SweepFinish, WantedBytes);
-    reclaimStranded(Ctx);
-    if (Core.Sweep.lazySweepPending()) {
+    if (Core.Sweep.lazySweepPending())
       Core.Sweep.sweepUntilFree(WantedBytes);
-      // A routing sweep parks small runs; make them refillable now.
-      reclaimStranded(Ctx);
-    }
     if (TryOnce())
       return true;
     if (Col->concurrentPhaseActive()) {
       noteRung(EscalationRung::StwFinish, WantedBytes);
-      reclaimStranded(Ctx);
       Col->collectNow(&Ctx);
       if (TryOnce())
         return true;
     }
     for (int I = 0; I < 2; ++I) {
       noteRung(EscalationRung::FullStw, WantedBytes);
-      reclaimStranded(Ctx);
       Col->collectNow(&Ctx);
       if (Core.Sweep.lazySweepPending())
         Core.Sweep.sweepUntilFree(WantedBytes);

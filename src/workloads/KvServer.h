@@ -139,9 +139,8 @@ private:
 uint64_t kvHashKey(const char *Key, size_t KeyLen);
 
 /// Configuration of the closed-loop KvStore exercise workload (the
-/// open-loop latency driver lives in workloads/OpenLoop.h and is wired
-/// to a KvStore by bench/openloop_kv.cpp; this workload is the
-/// correctness/soak shape used by the test matrix).
+/// open-loop latency driver lives in workloads/OpenLoop.h; this
+/// workload is the correctness/soak shape used by the test matrix).
 struct KvWorkloadConfig {
   unsigned Threads = 3;
   uint64_t DurationMs = 1000;

@@ -492,7 +492,7 @@ TEST(CooperationStallTest, NonCooperativeMutatorIsContained) {
   Cooperative.join();
 }
 
-void runAttachDetachChurn(bool FastPathSizeClasses) {
+TEST(CooperationStallTest, AttachDetachChurnDuringConcurrentCycles) {
   uint64_t Seed =
       testSeed(0xa77ac4, "CooperationStallTest.AttachDetachChurn");
   ScopedSeedLog SeedLog(Seed, "CooperationStallTest.AttachDetachChurn");
@@ -500,8 +500,7 @@ void runAttachDetachChurn(bool FastPathSizeClasses) {
   GcOptions Opts = stallOptions();
   Opts.FenceGraceMicros = 200000;
   Opts.StwGraceMicros = 200000;
-  Opts.FastPathSizeClasses = FastPathSizeClasses;
-  Opts.FreeListShards = 2; // Detaches exercise the successor hand-off.
+  Opts.FreeListShards = 2; // Attaches alternate their preferred shard.
   // Stretch idle transitions so attach/detach (which pass through
   // enterIdle/exitIdle) overlap in-flight handshakes mid-transition.
   Opts.Faults.Seed = Seed;
@@ -559,89 +558,6 @@ void runAttachDetachChurn(bool FastPathSizeClasses) {
   EXPECT_EQ(Heap->core().Registry.numThreads(), 0u);
   MutatorContext &Ctx = Heap->attachThread();
   Heap->requestGC(&Ctx);
-  VerifyResult V = Heap->verifyNow(&Ctx);
-  EXPECT_TRUE(V.Ok) << V.Error;
-  Heap->detachThread(Ctx);
-}
-
-TEST(CooperationStallTest, AttachDetachChurnDuringConcurrentCycles) {
-  runAttachDetachChurn(/*FastPathSizeClasses=*/false);
-}
-
-// Same churn with the size-class fast path on: every detach must
-// publish its class caches and hand its shard's remote-free queue to a
-// successor (or drain it); under TSan this doubles as a race check on
-// the detach protocol itself.
-TEST(CooperationStallTest, AttachDetachChurnWithFastPathSizeClasses) {
-  runAttachDetachChurn(/*FastPathSizeClasses=*/true);
-}
-
-TEST(CooperationStallTest, DetachPublishesCachesAndDrainsOrphanQueues) {
-  // The detach invariants of the size-class fast path: a detaching
-  // thread must (a) publish its parked class-cache chunks back to the
-  // free lists — they would otherwise go dark until the next full
-  // sweep — and (b) drain its shard's remote-free queue when it is the
-  // last thread preferring that shard, or leave it for a successor.
-  GcOptions Opts;
-  Opts.Kind = CollectorKind::StopTheWorld;
-  Opts.HeapBytes = 8u << 20;
-  Opts.FreeListShards = 1; // Every thread prefers the one shard.
-  Opts.FastPathSizeClasses = true;
-  auto Heap = GcHeap::create(Opts);
-  GcCore &Core = Heap->core();
-
-  auto stealAndQueue = [&]() -> size_t {
-    size_t Granted = 0;
-    uint8_t *P = Core.Heap.freeList().allocateUpTo(64, 2048, Granted, 0);
-    EXPECT_NE(P, nullptr);
-    Core.Heap.releaseRange(P, Granted);
-    return Granted;
-  };
-
-  // --- Orphan shard: the sole owner's detach must drain. -------------
-  {
-    MutatorContext &A = Heap->attachThread();
-    ASSERT_NE(Heap->allocate(A, 16, 0), nullptr);
-    const size_t Cached = A.cache().cachedClassBytes();
-    ASSERT_GT(Cached, 0u);
-    const size_t Queued = stealAndQueue();
-    ASSERT_EQ(Core.Heap.remoteQueuedBytes(), Queued);
-    const size_t FreeBefore = Core.Heap.freeList().freeBytes();
-
-    Heap->detachThread(A);
-    EXPECT_EQ(Core.Heap.remoteQueuedBytes(), 0u)
-        << "orphaned queue must be drained by the last owner's detach";
-    EXPECT_EQ(Core.Heap.freeList().freeBytes(),
-              FreeBefore + Cached + Queued)
-        << "detach stranded parked bytes outside the free lists";
-  }
-
-  // --- Successor present: the queue is handed over, not drained. -----
-  std::atomic<bool> SuccessorUp{false};
-  std::atomic<bool> FinishSuccessor{false};
-  std::thread Successor([&] {
-    MutatorContext &B = Heap->attachThread();
-    SuccessorUp.store(true, std::memory_order_release);
-    while (!FinishSuccessor.load(std::memory_order_acquire))
-      std::this_thread::yield();
-    Heap->detachThread(B);
-  });
-  while (!SuccessorUp.load(std::memory_order_acquire))
-    std::this_thread::yield();
-
-  MutatorContext &A2 = Heap->attachThread();
-  const size_t Queued2 = stealAndQueue();
-  ASSERT_GT(Queued2, 0u);
-  Heap->detachThread(A2);
-  EXPECT_EQ(Core.Heap.remoteQueuedBytes(), Queued2)
-      << "queue with a live successor must be handed over, not drained";
-
-  // The successor's own detach is the last owner out: it drains.
-  FinishSuccessor.store(true, std::memory_order_release);
-  Successor.join();
-  EXPECT_EQ(Core.Heap.remoteQueuedBytes(), 0u);
-
-  MutatorContext &Ctx = Heap->attachThread();
   VerifyResult V = Heap->verifyNow(&Ctx);
   EXPECT_TRUE(V.Ok) << V.Error;
   Heap->detachThread(Ctx);

@@ -182,95 +182,6 @@ TEST(FaultInjectionTest, LadderRungsFireInOrderUnderRefillInjection) {
   Heap->detachThread(Ctx);
 }
 
-TEST(FaultInjectionTest, ClassRefillWalksTheSameLadderAsBumpRefill) {
-  // Satellite of the size-class fast path (DESIGN.md §16): its refill
-  // slow path must sit behind the same degradation ladder, the same
-  // injection site, and the same rung ordering as the bump refill —
-  // chaos coverage bought for the legacy path transfers wholesale.
-  GcOptions Opts = ladderOptions();
-  Opts.FastPathSizeClasses = true;
-  Opts.Faults.failEveryNth(FaultSite::AllocCacheRefill, 1);
-  auto Heap = GcHeap::create(Opts);
-  MutatorContext &Ctx = Heap->attachThread();
-
-  // 80 total bytes: served by the class path when the flag is on.
-  Object *Obj = Heap->allocate(Ctx, 64, 1);
-  EXPECT_EQ(Obj, nullptr);
-
-  GcStatsCollector &Stats = Heap->stats();
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::RefillRetry), 1u);
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::SweepFinish), 1u);
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::StwFinish), 0u);
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::FullStw), 2u);
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::AllocationFailure), 1u);
-
-  Heap->core().Inject.disarm();
-  EXPECT_NE(Heap->allocate(Ctx, 64, 1), nullptr);
-  Heap->detachThread(Ctx);
-}
-
-TEST(FaultInjectionTest, ParkedRemoteBytesRescuedBeforeStopTheWorld) {
-  // The satellite-2 regression proper: free memory parked on a shard's
-  // remote-free queue that the requesting thread does NOT own is
-  // invisible to its own refill drain. The ladder must hand it back to
-  // the free lists on the cheap RefillRetry rung — paying a full
-  // stop-the-world to recover memory the process already has would be
-  // the shard-stranding bug reborn one level up.
-  GcOptions Opts;
-  Opts.Kind = CollectorKind::StopTheWorld;
-  Opts.HeapBytes = 4u << 20;
-  Opts.FreeListShards = 4;
-  Opts.FastPathSizeClasses = true;
-  auto Heap = GcHeap::create(Opts);
-  MutatorContext &Ctx = Heap->attachThread();
-  GcCore &Core = Heap->core();
-  ASSERT_EQ(Core.Heap.freeList().numShards(), 4u);
-
-  const unsigned Preferred = Ctx.preferredShard();
-  const unsigned Other = (Preferred + 2) % 4;
-
-  // Steal every free byte out of the locked lists in queue-eligible
-  // grabs, remembering the ranges that belong to the victim shard.
-  std::vector<std::pair<uint8_t *, size_t>> OtherRanges;
-  for (unsigned S = 0; S < 4; ++S)
-    for (;;) {
-      size_t Granted = 0;
-      uint8_t *P = Core.Heap.freeList().allocateUpTo(64, 2048, Granted, S);
-      if (!P)
-        break;
-      if (Core.Heap.freeList().shardIndexFor(P) == Other)
-        OtherRanges.emplace_back(P, Granted);
-    }
-  ASSERT_EQ(Core.Heap.freeList().freeBytes(), 0u);
-  ASSERT_FALSE(OtherRanges.empty());
-
-  // Park the victim shard's memory back — but only onto its remote
-  // queue, where this thread's per-refill drain cannot see it.
-  size_t Parked = 0;
-  for (auto [P, Size] : OtherRanges) {
-    Core.Heap.releaseRange(P, Size);
-    Parked += Size;
-  }
-  ASSERT_EQ(Core.Heap.remoteQueue(Other).queuedBytes(), Parked);
-  ASSERT_GT(Parked, 4096u);
-
-  // A bump-path request (too big for the class table): its refill finds
-  // the locked lists empty and its own queue empty. One RefillRetry
-  // rung must reclaim the parked bytes and succeed — never a FullStw.
-  Object *Obj = Heap->allocate(Ctx, 2040, 0);
-  ASSERT_NE(Obj, nullptr) << "parked bytes were never reclaimed";
-
-  GcStatsCollector &Stats = Heap->stats();
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::RefillRetry), 1u);
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::SweepFinish), 0u);
-  EXPECT_EQ(Stats.escalationCount(EscalationRung::FullStw), 0u)
-      << "ladder escalated to stop-the-world past reclaimable memory";
-  EXPECT_EQ(Core.Heap.remoteQueuedBytes(), 0u)
-      << "reclaim must drain every queue";
-
-  Heap->detachThread(Ctx);
-}
-
 TEST(FaultInjectionTest, HappyPathRecordsZeroEscalations) {
   GcOptions Opts = ladderOptions();
   auto Heap = GcHeap::create(Opts);
@@ -317,8 +228,8 @@ TEST(FaultInjectionTest, WatchdogFinishesStalledConcurrentCycle) {
 
   // Open a cycle explicitly (the pacer's organic kickoff would need the
   // heap driven near-empty, which is shard- and machine-dependent).
-  static_cast<ConcurrentCollector &>(Heap->collector())
-      .startConcurrentCycle(&Ctx);
+  ASSERT_TRUE(static_cast<ConcurrentCollector &>(Heap->collector())
+                  .startConcurrentCycle(&Ctx));
   ASSERT_EQ(Heap->core().phase(), GcPhase::Concurrent);
 
   // Stop allocating; just poll safepoints so the watchdog's STW finish
@@ -374,18 +285,23 @@ TEST(FaultInjectionTest, WatchdogKilledCyclesLeaveCompactorConsistent) {
   for (int Round = 0; Round < 2; ++Round) {
     uint64_t TripsBefore = Heap->stats().watchdogTrips();
     uint64_t CyclesBefore = Heap->completedCycles();
-    Concurrent.startConcurrentCycle(&Ctx);
-    // Keep polling until the killed cycle has fully completed, not just
-    // until the trip registers: the STW force-finish lands at a later
-    // safepoint, and the next round's start is a no-op while the
-    // previous cycle is still active.
+    // Retry the start until it takes: the previous round's finish bumps
+    // the completed count and resumes the world before it releases the
+    // collection lock, so the first attempt can find the lock still
+    // held. Then keep polling until the killed cycle has fully
+    // completed, not just until the trip registers: the STW
+    // force-finish lands at a later safepoint.
+    bool Started = false;
     Stopwatch Waited;
-    while ((Heap->stats().watchdogTrips() == TripsBefore ||
+    while ((!Started || Heap->stats().watchdogTrips() == TripsBefore ||
             Heap->completedCycles() == CyclesBefore) &&
            Waited.elapsedNanos() < 30ull * 1000 * 1000 * 1000) {
+      if (!Started)
+        Started = Concurrent.startConcurrentCycle(&Ctx);
       Heap->safepointPoll(Ctx);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
+    ASSERT_TRUE(Started) << "no cycle could be started in round " << Round;
     EXPECT_GT(Heap->stats().watchdogTrips(), TripsBefore)
         << "watchdog never tripped in round " << Round;
     EXPECT_GT(Heap->completedCycles(), CyclesBefore)
@@ -397,6 +313,54 @@ TEST(FaultInjectionTest, WatchdogKilledCyclesLeaveCompactorConsistent) {
   // must all still work.
   Heap->core().Inject.disarm();
   Heap->requestGC(&Ctx);
+  VerifyResult V = Heap->verifyNow(&Ctx);
+  EXPECT_TRUE(V.Ok) << V.Error;
+  Heap->detachThread(Ctx);
+}
+
+TEST(FaultInjectionTest, StartConcurrentCycleReportsWhetherItStarted) {
+  // The explicit kickoff says whether it opened a cycle: false while a
+  // cycle is active, and false while another thread holds the
+  // collection lock (as a finishing cycle does after it has resumed the
+  // world), so callers that need a cycle know to retry.
+  GcOptions Opts = ladderOptions();
+  Opts.BackgroundThreads = 0;
+  Opts.CycleWatchdog = false;
+  Opts.Faults.failEveryNth(FaultSite::TracerStep, 1);
+  auto Heap = GcHeap::create(Opts);
+  MutatorContext &Ctx = Heap->attachThread();
+  auto &Concurrent = static_cast<ConcurrentCollector &>(Heap->collector());
+  GcCore &Core = Heap->core();
+
+  // Another thread holds the collection lock: no cycle starts.
+  std::atomic<bool> Held{false}, Release{false};
+  std::thread Holder([&] {
+    std::lock_guard<std::mutex> Lock(Core.CollectMutex);
+    Held.store(true, std::memory_order_release);
+    while (!Release.load(std::memory_order_acquire))
+      std::this_thread::yield();
+  });
+  while (!Held.load(std::memory_order_acquire))
+    std::this_thread::yield();
+  EXPECT_FALSE(Concurrent.startConcurrentCycle(&Ctx));
+  EXPECT_EQ(Core.phase(), GcPhase::Idle);
+  Release.store(true, std::memory_order_release);
+  Holder.join();
+
+  // Idle and unlocked: the cycle starts.
+  ASSERT_TRUE(Concurrent.startConcurrentCycle(&Ctx));
+  ASSERT_EQ(Core.phase(), GcPhase::Concurrent);
+  const uint64_t Cycle = Core.CycleNumber.load(std::memory_order_relaxed);
+
+  // A cycle is active (tracing is injected to make no progress and the
+  // watchdog is off, so it stays active): no second cycle starts.
+  EXPECT_FALSE(Concurrent.startConcurrentCycle(&Ctx));
+  EXPECT_EQ(Core.phase(), GcPhase::Concurrent);
+  EXPECT_EQ(Core.CycleNumber.load(std::memory_order_relaxed), Cycle);
+
+  Core.Inject.disarm();
+  Heap->requestGC(&Ctx);
+  EXPECT_EQ(Core.phase(), GcPhase::Idle);
   VerifyResult V = Heap->verifyNow(&Ctx);
   EXPECT_TRUE(V.Ok) << V.Error;
   Heap->detachThread(Ctx);

@@ -1,7 +1,6 @@
 //===- pacer_test.cpp - kickoff/progress formula units --------------------------//
 
 #include "gc/Pacer.h"
-#include "runtime/GcHeap.h"
 
 #include <gtest/gtest.h>
 
@@ -178,71 +177,6 @@ TEST(PacerTest, FragmentationKicksOffWhileRawFreeLooksHealthy) {
       << "sanity: raw free alone would not trigger";
   EXPECT_TRUE(P.shouldKickoff(Refillable))
       << "fragmented heap must trigger kickoff";
-}
-
-/// --- Pacer-visible accounting with the size-class fast path -----------
-///
-/// The fast path parks free memory in two places the free lists cannot
-/// see: per-thread size-class caches and per-shard remote-free queues.
-/// Both are still allocation capacity. If the pacer's kickoff input
-/// missed them, a cache-heavy steady state would look like imminent
-/// exhaustion and kick cycles off early and often (and the watchdog
-/// would cry laggard on a healthy heap). These are the regressions for
-/// that accounting.
-
-TEST(PacerAccountingTest, ClassCacheBytesStayPacerVisible) {
-  GcOptions Opts;
-  Opts.HeapBytes = 8u << 20;
-  Opts.Kind = CollectorKind::StopTheWorld;
-  Opts.FastPathSizeClasses = true;
-  auto Heap = GcHeap::create(Opts);
-  MutatorContext &Ctx = Heap->attachThread();
-
-  GcCore &Core = Heap->core();
-  const size_t VisibleBefore = Core.pacerVisibleFreeBytes();
-
-  // One small allocation triggers a batch class refill that parks a
-  // cache's worth of chunks out of the free lists.
-  ASSERT_NE(Heap->allocate(Ctx, 16, 0), nullptr);
-  const size_t Cached = Ctx.cache().cachedClassBytes();
-  ASSERT_GT(Cached, 0u) << "refill must park chunks in the class cache";
-
-  // The raw refillable counter no longer sees the parked bytes...
-  EXPECT_LE(Core.Heap.refillableFreeBytes() + Cached, VisibleBefore);
-  // ...but the pacer-visible aggregate still does: it may only have
-  // shrunk by what was actually handed to objects, never by the whole
-  // parked batch.
-  const size_t VisibleAfter = Core.pacerVisibleFreeBytes();
-  EXPECT_EQ(VisibleAfter,
-            Core.Heap.refillableFreeBytes() + Cached);
-  // Allowance covers the one object handed out plus carve crumbs —
-  // far below the full parked batch, so this fails if the aggregate
-  // ever degrades to the raw refillable counter.
-  EXPECT_GE(VisibleAfter + 4096, VisibleBefore)
-      << "pacer lost sight of parked cache bytes";
-
-  Heap->detachThread(Ctx);
-}
-
-TEST(PacerAccountingTest, RemoteQueueBytesStayPacerVisible) {
-  // HeapSpace level: bytes routed to a shard's remote-free queue must
-  // keep counting in freeBytes() and refillableFreeBytes(), which feed
-  // the pacer's kickoff decision and the watchdog's lag check.
-  HeapSpace Heap(1u << 20, /*FreeListShards=*/2, nullptr,
-                 /*RefillThresholdBytes=*/0, /*RouteRemoteFrees=*/true);
-  const size_t Total = Heap.freeBytes();
-
-  size_t Granted = 0;
-  uint8_t *P = Heap.freeList().allocateUpTo(64, 1024, Granted, 0);
-  ASSERT_NE(P, nullptr);
-  EXPECT_EQ(Heap.freeBytes(), Total - Granted);
-
-  Heap.releaseRange(P, Granted); // Routes to the owning shard's queue.
-  ASSERT_GT(Heap.remoteQueuedBytes(), 0u) << "range must be queued";
-  EXPECT_EQ(Heap.freeBytes(), Total)
-      << "queued bytes fell out of freeBytes()";
-  EXPECT_EQ(Heap.refillableFreeBytes(), Total)
-      << "queued bytes fell out of refillableFreeBytes()";
 }
 
 } // namespace

@@ -289,35 +289,6 @@ TEST_P(ShardedSweeperTest, ParallelSweepLocksPerChunkAndMatchesSerial) {
   EXPECT_EQ(FL.refillableFreeBytes(), SerialRefillable);
 }
 
-TEST_P(ShardedSweeperTest, RoutedParallelSweepMatchesSerial) {
-  // With remote-free routing, small runs go to the lock-free queues and
-  // the rest to the shards' lists; the split must not depend on which
-  // participant swept which chunk.
-  HeapSpace Fragmented(4u << 20, GetParam(), nullptr,
-                       /*RefillThresholdBytes=*/512,
-                       /*RouteRemoteFrees=*/true);
-  Sweeper FragSweep(Fragmented);
-  ASSERT_GE(plantScattered(Fragmented, 0x5eed6), 1000u);
-  const ShardedFreeList &FL = Fragmented.freeList();
-
-  FragSweep.sweepAll(nullptr);
-  size_t SerialQueued = Fragmented.remoteQueuedBytes();
-  size_t SerialTotal = Fragmented.freeBytes();
-  auto SerialRanges = FL.snapshotRanges();
-  ASSERT_GT(SerialQueued, 0u);
-
-  // The pause drops the queues before re-deriving every run.
-  Fragmented.resetRemoteQueues();
-  WorkerPool Workers(2); // Three participants with the caller.
-  uint64_t Before = FL.lockAcquisitions();
-  FragSweep.sweepAll(&Workers);
-  EXPECT_LE(FL.lockAcquisitions() - Before,
-            FL.numShards() + chunkShardPairs(Fragmented));
-  EXPECT_EQ(Fragmented.remoteQueuedBytes(), SerialQueued);
-  EXPECT_EQ(Fragmented.freeBytes(), SerialTotal);
-  EXPECT_EQ(FL.snapshotRanges(), SerialRanges);
-}
-
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedSweeperTest,
                          ::testing::Values(1u, 2u, 8u));
 
@@ -412,7 +383,7 @@ void plantLayout(HeapSpace &Heap, const std::vector<PlantedObject> &Layout) {
 /// The reference: the header walk the word-wise sweep replaced, one
 /// granule at a time through test() and clear(). Chunk by chunk in
 /// address order, each chunk's ranges (window-clipped, 64 B crumbs
-/// dropped) published in one releaseRanges call. Returns {live, bytes
+/// dropped) published in one addRanges call. Returns {live, bytes
 /// published}.
 std::pair<uint64_t, uint64_t> referenceSweep(HeapSpace &Heap, size_t XLo,
                                              size_t XHi) {
@@ -462,7 +433,7 @@ std::pair<uint64_t, uint64_t> referenceSweep(HeapSpace &Heap, size_t XLo,
       Pos = endOf(Next);
     }
     if (!Batch.empty())
-      Freed += Heap.releaseRanges(Batch);
+      Freed += Heap.freeList().addRanges(Batch);
   }
   return {Live, Freed};
 }
@@ -473,7 +444,6 @@ struct SweepOutcome {
   uint64_t Freed = 0;
   std::vector<std::pair<size_t, size_t>> Ranges;
   size_t Refillable = 0;
-  size_t Queued = 0;
   std::vector<bool> AllocBits;
 };
 
@@ -485,7 +455,6 @@ SweepOutcome captureOutcome(const HeapSpace &Heap, uint64_t Live,
   for (auto [Start, Size] : Heap.freeList().snapshotRanges())
     Out.Ranges.emplace_back(static_cast<size_t>(Start - Heap.base()), Size);
   Out.Refillable = Heap.freeList().refillableFreeBytes();
-  Out.Queued = Heap.remoteQueuedBytes();
   Out.AllocBits.resize(Heap.sizeBytes() / GranuleBytes);
   for (size_t G = 0; G < Out.AllocBits.size(); ++G)
     Out.AllocBits[G] = Heap.allocBits().test(Heap.base() + G * GranuleBytes);
@@ -537,18 +506,16 @@ TEST_P(SweepExactnessTest, MatchesReferenceHeaderWalk) {
       ASSERT_GT(LiveObjects, 2000u);
       ASSERT_TRUE(EndsAtChunkEnd);
 
-      // Remote-free routing on the two-shard heaps.
-      bool Route = Shards == 2;
       HeapSpace Expected(OracleHeapBytes, Shards, nullptr,
-                         /*RefillThresholdBytes=*/512, Route);
+                         /*RefillThresholdBytes=*/512);
       HeapSpace Actual(OracleHeapBytes, Shards, nullptr,
-                       /*RefillThresholdBytes=*/512, Route);
+                       /*RefillThresholdBytes=*/512);
       ASSERT_EQ(Actual.sizeBytes() % Sweeper::ChunkBytes, 300u << 10);
       plantLayout(Expected, Planted);
       plantLayout(Actual, Planted);
 
       auto [RefLive, RefFreed] = referenceSweep(Expected, XLo, XHi);
-      // What releaseRanges reports is what the heap gained, even where
+      // What addRanges reports is what the heap gained, even where
       // a shard split drops a sliver of a range (8 shards do).
       EXPECT_EQ(RefFreed, Expected.freeBytes());
       SweepOutcome Want =
@@ -579,7 +546,6 @@ TEST_P(SweepExactnessTest, MatchesReferenceHeaderWalk) {
       EXPECT_EQ(Got.Freed, Want.Freed);
       EXPECT_EQ(Got.Ranges, Want.Ranges);
       EXPECT_EQ(Got.Refillable, Want.Refillable);
-      EXPECT_EQ(Got.Queued, Want.Queued);
       size_t BitDiffs = 0, FirstDiff = 0;
       for (size_t G = Got.AllocBits.size(); G-- > 0;)
         if (Got.AllocBits[G] != Want.AllocBits[G]) {

@@ -273,8 +273,7 @@ void checkR3(RuleContext &C) {
 bool annotatedHeader(const std::string &Path) {
   static const std::set<std::string> Headers = {
       "support/SpinLock.h",    "heap/FreeList.h",
-      "heap/ShardedFreeList.h", "heap/RemoteFreeQueue.h",
-      "workpackets/PacketPool.h",
+      "heap/ShardedFreeList.h", "workpackets/PacketPool.h",
       "mutator/ThreadRegistry.h", "mutator/MutatorContext.h",
       "gc/Pacer.h",            "gc/Compactor.h",
       "gc/Tracer.h",           "gc/CardCleaner.h",
